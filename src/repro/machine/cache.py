@@ -24,6 +24,7 @@ fast path mirrors whichever indexing the cache uses (it captures the same
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Iterator, Optional
 
 from repro.machine.config import CacheConfig
@@ -175,26 +176,26 @@ class SetAssociativeCache:
 class FullyAssociativeLRU:
     """A fully-associative LRU cache used as a shadow for miss classification.
 
-    Implemented with an insertion-ordered dict: re-inserting moves a key to
-    the back, and the front is the least recently used.
+    Implemented with an ``OrderedDict``: a hit is ``move_to_end`` and the
+    eviction victim is ``popitem(last=False)``, both O(1), so the front is
+    the least recently used.
     """
 
     def __init__(self, capacity_lines: int) -> None:
         if capacity_lines < 1:
             raise ValueError("capacity must be at least one line")
         self.capacity = capacity_lines
-        self._lines: dict[int, None] = {}
+        self._lines: OrderedDict[int, None] = OrderedDict()
 
     def access(self, line_addr: int) -> bool:
         """Touch a line; returns True on hit.  Misses insert with LRU eviction."""
         lines = self._lines
         if line_addr in lines:
-            del lines[line_addr]
-            lines[line_addr] = None
+            lines.move_to_end(line_addr)
             return True
         lines[line_addr] = None
         if len(lines) > self.capacity:
-            del lines[next(iter(lines))]
+            lines.popitem(last=False)
         return False
 
     def contains(self, line_addr: int) -> bool:

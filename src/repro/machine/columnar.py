@@ -194,6 +194,7 @@ def columnar_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
 
     tlb = ms._tlb[cpu]
     tlb_entries = tlb._entries
+    tlb_move = tlb_entries.move_to_end
     tlb_keys = tlb_entries.keys()
     pc_keys = page_cache.keys()
     l1d_sets = l1d._sets
@@ -202,6 +203,7 @@ def columnar_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
     l1i_resident = l1i.resident
     stats = ms.stats.cpus[cpu]
     sharers_get = ms._sharers.get
+    cpu_bit = 1 << cpu
     dirty_get = ms._dirty.get
     pending_map = ms._pending
 
@@ -241,11 +243,8 @@ def columnar_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                         ok = True
                         for wpage, woffset in block[6]:
                             pline = page_cache[wpage] + woffset
-                            sh = sharers_get(pline)
                             if (
-                                sh is None
-                                or len(sh) != 1
-                                or cpu not in sh
+                                sharers_get(pline) != cpu_bit
                                 or dirty_get(pline) != cpu
                                 or pline in pending_map
                             ):
@@ -254,8 +253,7 @@ def columnar_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                         if ok:
                             fail_streak = 0
                             for vpage in block[1]:
-                                del tlb_entries[vpage]
-                                tlb_entries[vpage] = None
+                                tlb_move(vpage)
                             for si, lines, mru in block[4]:
                                 ways = l1d_sets[si]
                                 for line in lines:

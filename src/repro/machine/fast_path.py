@@ -28,16 +28,16 @@ it sound:
   Reads (data or instruction) meeting those conditions are guaranteed
   hits with no coherence side effect.  A *write* additionally requires
   that the written physical line is already exclusively owned by this
-  CPU — sole entry in the sharer set, dirty here, and carrying no
-  pending invalidation masks — which makes the oracle's write-coherence
-  step a provable no-op with zero stall.  Retiring an eligible reference
-  touches only LRU recency (replayed exactly: TLB move-to-back, L1
-  move-to-front) and the hit counters.  While a run of hits retires, no
-  insertion, eviction or invalidation can occur, so eligibility checked
-  against current state stays sound for every reference until the next
-  fall-through.
+  CPU — its sharer mask is this CPU's bit alone, it is dirty here, and it
+  carries no pending invalidation masks — which makes the oracle's
+  write-coherence step a provable no-op with zero stall.  Retiring an
+  eligible reference touches only LRU recency (replayed exactly: TLB
+  move-to-back, L1 move-to-front) and the hit counters.  While a run of
+  hits retires, no insertion, eviction or invalidation can occur, so
+  eligibility checked against current state stays sound for every
+  reference until the next fall-through.
 * **Containers are aliased, never copied.**  Dicts, sets and lists (TLB
-  entries, cache sets, ``resident`` views, sharers/dirty/pending maps,
+  entries, cache sets, ``resident`` views, sharer/dirty/pending maps,
   the page cache) are bound to frame locals once per loop; out-of-line
   calls (``vm.fault``, reclaim callbacks, ``ms.prefetch``) mutate the
   same objects in place, so the aliases never go stale.  Structures that
@@ -74,7 +74,7 @@ transitions as ``MemorySystem.access`` with the call layers removed.
 from __future__ import annotations
 
 from repro.machine.bus import BusTransactionKind
-from repro.machine.memory_system import MemorySystem
+from repro.machine.memory_system import MemorySystem, cpus_in
 from repro.machine.stats import MissKind
 
 __all__ = ["loop_runner"]
@@ -128,6 +128,8 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
     bus = ms.bus
 
     tlb_entries = tlb._entries
+    tlb_move = tlb_entries.move_to_end
+    tlb_pop = tlb_entries.popitem
     tlb_cap = tlb.config.entries
     tlb_miss_ns = ms._tlb_miss_ns
     l1d_sets = l1d._sets
@@ -165,12 +167,16 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
         mid_resident = None
         mid_hit_ns = 0.0
     shadow_lines = shadow._lines
+    shadow_move = shadow_lines.move_to_end
+    shadow_pop = shadow_lines.popitem
     shadow_cap = shadow.capacity
     l2_misses = stats.l2_misses
     l2_stall = stats.l2_stall_ns
     bus_busy = bus.busy_ns
     bus_tx = bus.transactions
     sharers = ms._sharers
+    cpu_bit = 1 << cpu
+    not_cpu_bit = ~cpu_bit
     dirty = ms._dirty
     pending_map = ms._pending
     seen = ms._seen[cpu]
@@ -192,7 +198,6 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
     all_l1i = ms._l1i
     all_l2 = ms._l2
 
-    addrs = stream.addrs  # noqa: F841 — kept for parity with the oracle
     flags = stream.flags
     prefetches = stream.prefetch
     vpages = stream.vpages
@@ -252,13 +257,10 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
         # Inline replica of MemorySystem._write_coherence.
         nonlocal bus_backlog, bus_last_update, bus_last_complete
         nonlocal busy_up, tx_up
-        sh = sharers.get(pline)
-        if sh is None:
-            sh = sharers[pline] = set()
-        sh.add(cpu)
+        others = sharers_get(pline, 0) & not_cpu_bit
+        sharers[pline] = cpu_bit
         word_bit = 1 << ((paddr & line_m1) // word)
         stall = 0.0
-        others = [other for other in sh if other != cpu] if len(sh) > 1 else ()
         d = dirty.get(pline)
         if others or (d is not None and d != cpu):
             # Bus UPGRADE request (zero payload), inline.
@@ -275,7 +277,7 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
             pend = pending_map.get(pline)
             if pend is None:
                 pend = pending_map[pline] = {}
-            for other in others:
+            for other in cpus_in(others):
                 if not llc_shared:
                     all_l2[other].invalidate(pline)
                 if all_mid is not None:
@@ -283,7 +285,6 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                 all_l1d[other].invalidate(pline)
                 all_l1i[other].invalidate(pline)
                 pend[other] = pend.get(other, 0) | word_bit
-                sh.discard(other)
         pend = pending_map.get(pline)
         if pend is not None:
             for other in pend:
@@ -352,17 +353,13 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                     base = page_cache_get(vpage)
                     if base is not None:
                         pline = (base + offsets[index]) & line_mask
-                        sh = sharers_get(pline)
                         if (
-                            sh is not None
-                            and len(sh) == 1
-                            and cpu in sh
+                            sharers_get(pline) == cpu_bit
                             and dirty_get(pline) == cpu
                             and pline not in pending_map
                         ):
                             if vpage != prev_vpage:
-                                del tlb_entries[vpage]
-                                tlb_entries[vpage] = None
+                                tlb_move(vpage)
                                 prev_vpage = vpage
                             ways = l1d_sets[(vline >> l1d_shift) % l1d_nsets]
                             if ways[0] != vline:
@@ -380,8 +377,7 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                     and vpage in page_cache
                 ):
                     if vpage != prev_vpage:
-                        del tlb_entries[vpage]
-                        tlb_entries[vpage] = None
+                        tlb_move(vpage)
                         prev_vpage = vpage
                     ways = l1d_sets[(vline >> l1d_shift) % l1d_nsets]
                     if ways[0] != vline:
@@ -399,8 +395,7 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                     and vpage in page_cache
                 ):
                     if vpage != prev_vpage:
-                        del tlb_entries[vpage]
-                        tlb_entries[vpage] = None
+                        tlb_move(vpage)
                         prev_vpage = vpage
                     ways = l1i_sets[(vline >> l1i_shift) % l1i_nsets]
                     if ways[0] != vline:
@@ -480,14 +475,13 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
             kernel_ns = 0.0
             if vpage in tlb_entries:
                 if vpage != prev_vpage:
-                    del tlb_entries[vpage]
-                    tlb_entries[vpage] = None
+                    tlb_move(vpage)
                 tlb_hits_d += 1
             else:
                 tlb_misses_d += 1
                 tlb_entries[vpage] = None
                 if len(tlb_entries) > tlb_cap:
-                    del tlb_entries[next(iter(tlb_entries))]
+                    tlb_pop(False)
                 stats_tlb_misses_d += 1
                 kernel_ns = tlb_miss_ns
 
@@ -499,6 +493,7 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
             else:
                 ways = l1d_sets[(vline >> l1d_shift) % l1d_nsets]
                 l1_resident = l1d_resident
+            pline = paddr & line_mask
             if vline in ways:
                 ways.remove(vline)
                 ways.insert(0, vline)
@@ -506,180 +501,169 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                     l1i_hits_d += 1
                 else:
                     l1d_hits_d += 1
-                if is_write:
-                    stall = wcoh(t, paddr, paddr & line_mask)
-                else:
-                    stall = 0.0
-                t += busy_per_ref + stall + kernel_ns
-                kernel_total += kernel_ns
-                prev_vpage = vpage
-                index += 1
-                continue
-            ways.insert(0, vline)
-            l1_resident.add(vline)
-            if len(ways) > (l1i_assoc if flag & 2 else l1d_assoc):
-                l1_resident.discard(ways.pop())
-            if flag & 2:
-                l1i_misses_d += 1
+                stall = 0.0
             else:
-                l1d_misses_d += 1
+                ways.insert(0, vline)
+                l1_resident.add(vline)
+                if len(ways) > (l1i_assoc if flag & 2 else l1d_assoc):
+                    l1_resident.discard(ways.pop())
+                if flag & 2:
+                    l1i_misses_d += 1
+                else:
+                    l1d_misses_d += 1
 
-            # External cache (oracle: MemorySystem._l2_access).
-            pline = paddr & line_mask
-            if mid_sets is not None:
-                # Mid-level probe (oracle: the _mid lookup/insert pair).
-                mways = mid_sets[(pline >> mid_shift) % mid_nsets]
-                if pline in mways:
+                # External cache (oracle: MemorySystem._l2_access), with
+                # the mid-level lookup/insert pair first when present.
+                mways = (
+                    None if mid_sets is None
+                    else mid_sets[(pline >> mid_shift) % mid_nsets]
+                )
+                if mways is not None and pline in mways:
                     mways.remove(pline)
                     mways.insert(0, pline)
                     mid_hits_d += 1
                     l2_hits_d += 1
                     stall = mid_hit_ns
                     l1_stall += stall
-                    if is_write:
-                        stall += wcoh(t + stall, paddr, pline)
-                    t += busy_per_ref + stall + kernel_ns
-                    kernel_total += kernel_ns
-                    prev_vpage = vpage
-                    index += 1
-                    continue
-                mways.insert(0, pline)
-                mid_resident.add(pline)
-                if len(mways) > mid_assoc:
-                    mid_resident.discard(mways.pop())
-            if pline in shadow_lines:
-                del shadow_lines[pline]
-                shadow_lines[pline] = None
-                shadow_hit = True
-            else:
-                shadow_lines[pline] = None
-                if len(shadow_lines) > shadow_cap:
-                    del shadow_lines[next(iter(shadow_lines))]
-                shadow_hit = False
-            l2_ways = l2_sets[
-                (pline >> l2_shift) % l2_nsets if l2_index is None
-                else l2_index(pline)
-            ]
-            if pline in l2_ways:
-                l2_ways.remove(pline)
-                l2_ways.insert(0, pline)
-                if llc_shared:
-                    # Oracle's shared-LLC hit bookkeeping: register the
-                    # reader as a sharer, consume its pending mask.
-                    sh = sharers_get(pline)
-                    if sh is None:
-                        sharers[pline] = {cpu}
+                else:
+                    if mways is not None:
+                        mways.insert(0, pline)
+                        mid_resident.add(pline)
+                        if len(mways) > mid_assoc:
+                            mid_resident.discard(mways.pop())
+                    if pline in shadow_lines:
+                        shadow_move(pline)
+                        shadow_hit = True
                     else:
-                        sh.add(cpu)
-                    pend = pending_map.get(pline)
-                    if pend is not None and cpu in pend:
-                        del pend[cpu]
-                        if not pend:
-                            del pending_map[pline]
-                # ``inflight`` is empty unless prefetching is active, so
-                # guard the per-hit tuple construction behind a truth
-                # test (x + 0.0 == x exactly for the positive hit
-                # latency, so skipping ``extra`` is bit-identical).
-                if inflight and (cpu, pline) in inflight:
-                    # Demand access caught up with an in-flight prefetch.
-                    stats.prefetches_useful += 1
-                    extra = max(0.0, inflight.pop((cpu, pline)) - t)
-                    stall = l2_hit_ns + extra
-                else:
-                    stall = l2_hit_ns
-                l2_hits_d += 1
-                l1_stall += stall
-                if is_write:
-                    stall += wcoh(t + stall, paddr, pline)
-            else:
-                # Miss classification (oracle: _classify_miss).
-                pend = pending_map.get(pline)
-                if pend is not None and cpu in pend:
-                    mask = pend.pop(cpu)
-                    if not pend:
-                        del pending_map[pline]
-                    if mask & (1 << ((paddr & line_m1) // word)):
-                        miss_kind = _TRUE
+                        shadow_lines[pline] = None
+                        if len(shadow_lines) > shadow_cap:
+                            shadow_pop(False)
+                        shadow_hit = False
+                    l2_ways = l2_sets[
+                        (pline >> l2_shift) % l2_nsets if l2_index is None
+                        else l2_index(pline)
+                    ]
+                    if pline in l2_ways:
+                        l2_ways.remove(pline)
+                        l2_ways.insert(0, pline)
+                        if llc_shared:
+                            # Oracle's shared-LLC hit bookkeeping: register
+                            # the reader as a sharer, consume its pending
+                            # mask.
+                            sharers[pline] = sharers_get(pline, 0) | cpu_bit
+                            pend = pending_map.get(pline)
+                            if pend is not None and cpu in pend:
+                                del pend[cpu]
+                                if not pend:
+                                    del pending_map[pline]
+                        # ``inflight`` is empty unless prefetching is
+                        # active, so guard the per-hit tuple construction
+                        # behind a truth test (x + 0.0 == x exactly for the
+                        # positive hit latency, so skipping ``extra`` is
+                        # bit-identical).
+                        if inflight and (cpu, pline) in inflight:
+                            # Demand access caught up with an in-flight
+                            # prefetch.
+                            stats.prefetches_useful += 1
+                            extra = max(0.0, inflight.pop((cpu, pline)) - t)
+                            stall = l2_hit_ns + extra
+                        else:
+                            stall = l2_hit_ns
+                        l2_hits_d += 1
+                        l1_stall += stall
                     else:
-                        miss_kind = _FALSE
-                elif pline not in seen:
-                    miss_kind = _COLD
-                elif shadow_hit:
-                    miss_kind = _CONFLICT
-                else:
-                    miss_kind = _CAPACITY
-                l2_misses[miss_kind] += 1
-                frame = paddr >> page_shift
-                frame_misses[frame] += 1
-                if miss_kind is _CONFLICT:
-                    frame_conflicts[frame] += 1
-                seen.add(pline)
+                        # Miss classification (oracle: _classify_miss).
+                        pend = pending_map.get(pline)
+                        if pend is not None and cpu in pend:
+                            mask = pend.pop(cpu)
+                            if not pend:
+                                del pending_map[pline]
+                            if mask & (1 << ((paddr & line_m1) // word)):
+                                miss_kind = _TRUE
+                            else:
+                                miss_kind = _FALSE
+                        elif pline not in seen:
+                            miss_kind = _COLD
+                        elif shadow_hit:
+                            miss_kind = _CONFLICT
+                        else:
+                            miss_kind = _CAPACITY
+                        l2_misses[miss_kind] += 1
+                        frame = paddr >> page_shift
+                        frame_misses[frame] += 1
+                        if miss_kind is _CONFLICT:
+                            frame_conflicts[frame] += 1
+                        seen.add(pline)
 
-                # Line fetch (oracle: _fetch_line) — bus DATA request
-                # inline.
-                if t > bus_last_update:
-                    bus_backlog = max(0.0, bus_backlog - (t - bus_last_update))
-                    bus_last_update = t
-                grant = t + bus_backlog
-                bus_backlog += data_occ
-                busy_data += data_occ
-                tx_data += 1
-                bus_last_complete = max(bus_last_complete, grant + data_occ)
-                queue_delay = grant - t
-                downer = dirty.get(pline)
-                if downer is not None and downer != cpu:
-                    # Cache-to-cache transfer + owner writeback, inline.
-                    if grant > bus_last_update:
-                        bus_backlog = max(
-                            0.0, bus_backlog - (grant - bus_last_update)
-                        )
-                        bus_last_update = grant
-                    wb_grant = grant + bus_backlog
-                    bus_backlog += data_occ
-                    busy_wb += data_occ
-                    tx_wb += 1
-                    bus_last_complete = max(
-                        bus_last_complete, wb_grant + data_occ
-                    )
-                    dirty[pline] = None
-                    stall = queue_delay + remote_ns
-                else:
-                    stall = queue_delay + mem_ns
-                l2_stall[miss_kind] += stall
-
-                # Insert + eviction (oracle: insert / _handle_eviction).
-                l2_ways.insert(0, pline)
-                l2_resident.add(pline)
-                if len(l2_ways) > l2_assoc:
-                    victim = l2_ways.pop()
-                    l2_resident.discard(victim)
-                    vsh = sharers.get(victim)
-                    if vsh is not None:
-                        vsh.discard(cpu)
-                    if dirty.get(victim) == cpu:
-                        dirty[victim] = None
+                        # Line fetch (oracle: _fetch_line) — bus DATA request
+                        # inline.
                         if t > bus_last_update:
                             bus_backlog = max(
                                 0.0, bus_backlog - (t - bus_last_update)
                             )
                             bus_last_update = t
-                        wb_grant = t + bus_backlog
+                        grant = t + bus_backlog
                         bus_backlog += data_occ
-                        busy_wb += data_occ
-                        tx_wb += 1
+                        busy_data += data_occ
+                        tx_data += 1
                         bus_last_complete = max(
-                            bus_last_complete, wb_grant + data_occ
+                            bus_last_complete, grant + data_occ
                         )
-                    if inflight and (cpu, victim) in inflight:
-                        del inflight[(cpu, victim)]
-                sh = sharers.get(pline)
-                if sh is None:
-                    sharers[pline] = {cpu}
-                else:
-                    sh.add(cpu)
-                if is_write:
-                    stall += wcoh(t + stall, paddr, pline)
-                demand_d += 1
+                        queue_delay = grant - t
+                        downer = dirty_get(pline)
+                        if downer is not None and downer != cpu:
+                            # Cache-to-cache transfer + owner writeback,
+                            # inline.
+                            if grant > bus_last_update:
+                                bus_backlog = max(
+                                    0.0, bus_backlog - (grant - bus_last_update)
+                                )
+                                bus_last_update = grant
+                            wb_grant = grant + bus_backlog
+                            bus_backlog += data_occ
+                            busy_wb += data_occ
+                            tx_wb += 1
+                            bus_last_complete = max(
+                                bus_last_complete, wb_grant + data_occ
+                            )
+                            dirty[pline] = None
+                            stall = queue_delay + remote_ns
+                        else:
+                            stall = queue_delay + mem_ns
+                        l2_stall[miss_kind] += stall
+
+                        # Insert + eviction (oracle: insert /
+                        # _handle_eviction).
+                        l2_ways.insert(0, pline)
+                        l2_resident.add(pline)
+                        if len(l2_ways) > l2_assoc:
+                            victim = l2_ways.pop()
+                            l2_resident.discard(victim)
+                            if victim in sharers:
+                                sharers[victim] &= not_cpu_bit
+                            if dirty_get(victim) == cpu:
+                                dirty[victim] = None
+                                if t > bus_last_update:
+                                    bus_backlog = max(
+                                        0.0, bus_backlog - (t - bus_last_update)
+                                    )
+                                    bus_last_update = t
+                                wb_grant = t + bus_backlog
+                                bus_backlog += data_occ
+                                busy_wb += data_occ
+                                tx_wb += 1
+                                bus_last_complete = max(
+                                    bus_last_complete, wb_grant + data_occ
+                                )
+                            if inflight and (cpu, victim) in inflight:
+                                del inflight[(cpu, victim)]
+                        sharers[pline] = sharers_get(pline, 0) | cpu_bit
+                        demand_d += 1
+
+            # Write coherence (oracle: _write_coherence, called with the
+            # clock advanced by the stall so far).
+            if is_write:
+                stall += wcoh(t + stall, paddr, pline)
 
             t += busy_per_ref + stall + kernel_ns
             kernel_total += kernel_ns

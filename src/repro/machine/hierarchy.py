@@ -40,6 +40,7 @@ which is what lets the static analyzer stay keyed on ``(color, k)`` pairs
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Optional, Protocol, runtime_checkable
 
 from repro.machine.config_base import CacheConfig, is_power_of_two
@@ -55,8 +56,12 @@ __all__ = [
 ]
 
 
-def _parity(value: int) -> int:
-    return bin(value).count("1") & 1
+def _hash_bits(masks: tuple[int, ...], value: int) -> int:
+    """Hash bit ``i`` is the parity of ``value & masks[i]`` (the definition)."""
+    s = 0
+    for i, mask in enumerate(masks):
+        s |= (bin(value & mask).count("1") & 1) << i
+    return s
 
 
 @runtime_checkable
@@ -143,8 +148,9 @@ class SlicedHashColor:
     ``num_colors = slices * span`` where
     ``span = sets_per_slice // lines_per_page``.  GF(2) linearity of the
     parity hash makes colors exact conflict-equivalence classes (module
-    docstring), with the per-line slice offsets precomputed in
-    ``_offset_slices``.
+    docstring), and lets the hash run as byte-table lookups
+    (``_frame_tables``, ``_offset_slices``; memoized on the instance as
+    plain tuples, so the instance still pickles).
     """
 
     slices: int
@@ -182,29 +188,34 @@ class SlicedHashColor:
     def num_sets(self) -> int:
         return self.slices * self.sets_per_slice
 
+    @cached_property
+    def _frame_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Per-byte frame-slice tables, built on first use.
+
+        Parity is GF(2)-linear, so a frame's slice is the XOR of one
+        256-entry lookup per byte of the frame masks' width:
+        ``_frame_tables[j][b]`` is the slice of frame ``b << 8j``.
+        """
+        width = max(mask.bit_length() for mask in self.frame_masks)
+        return tuple(
+            tuple(_hash_bits(self.frame_masks, b << shift) for b in range(256))
+            for shift in range(0, width, 8)
+        )
+
+    @cached_property
+    def _offset_slices(self) -> tuple[int, ...]:
+        """Slice contribution of line ``k`` of a page, built on first use."""
+        return tuple(
+            _hash_bits(self.offset_masks, k << self.line_shift)
+            for k in range(self.lines_per_page)
+        )
+
     def _frame_slice(self, frame: int) -> int:
         s = 0
-        for i, mask in enumerate(self.frame_masks):
-            s |= _parity(frame & mask) << i
+        for table in self._frame_tables:
+            s ^= table[frame & 255]
+            frame >>= 8
         return s
-
-    def _offset_slice(self, offset: int) -> int:
-        s = 0
-        for i, mask in enumerate(self.offset_masks):
-            s |= _parity(offset & mask) << i
-        return s
-
-    @property
-    def _offset_slices(self) -> tuple[int, ...]:
-        """Per-line-in-page slice offsets (memoized on the instance)."""
-        table = self.__dict__.get("_offset_slices_cache")
-        if table is None:
-            table = tuple(
-                self._offset_slice(k << self.line_shift)
-                for k in range(self.lines_per_page)
-            )
-            object.__setattr__(self, "_offset_slices_cache", table)
-        return table
 
     def color_of(self, frame: int) -> int:
         return self._frame_slice(frame) * self.span + frame % self.span
@@ -219,11 +230,12 @@ class SlicedHashColor:
         )
 
     def line_index(self, line_addr: int) -> int:
-        frame = line_addr >> self.page_shift
-        offset = line_addr & ((1 << self.page_shift) - 1)
-        slice_id = self._frame_slice(frame) ^ self._offset_slice(offset)
-        local = (line_addr >> self.line_shift) % self.sets_per_slice
-        return slice_id * self.sets_per_slice + local
+        line = line_addr >> self.line_shift
+        slice_id = (
+            self._frame_slice(line_addr >> self.page_shift)
+            ^ self._offset_slices[line % self.lines_per_page]
+        )
+        return slice_id * self.sets_per_slice + line % self.sets_per_slice
 
     def frames_of_color(self, color: int) -> Iterator[int]:
         span = self.span

@@ -58,6 +58,11 @@ from repro.machine.stats import CpuStats, MachineStats, MissKind
 from repro.machine.tlb import Tlb
 
 
+def cpus_in(mask: int) -> list[int]:
+    """The CPUs whose bits are set in a coherence-directory sharer mask."""
+    return [cpu for cpu in range(mask.bit_length()) if mask >> cpu & 1]
+
+
 class AccessResult(NamedTuple):
     """Outcome of one memory reference."""
 
@@ -117,8 +122,9 @@ class MemorySystem:
         self.mid_hits = 0
         self._tlb = [Tlb(config.tlb) for _ in range(n)]
         self._prefetch = [PrefetchUnit(config.max_outstanding_prefetches) for _ in range(n)]
-        # Coherence directory: physical line -> (set of caching CPUs, dirty CPU).
-        self._sharers: dict[int, set[int]] = {}
+        # Coherence directory: physical line -> (bitmask of caching CPUs,
+        # dirty CPU).  Bit ``1 << cpu`` is set while ``cpu`` shares the line.
+        self._sharers: dict[int, int] = {}
         self._dirty: dict[int, Optional[int]] = {}
         # Dubois bookkeeping: physical line -> {cpu -> mask of words written by
         # *other* CPUs since that cpu last accessed the line}.
@@ -228,7 +234,7 @@ class MemorySystem:
                 # invalidate its on-chip copies) and consume any pending
                 # invalidation mask — it communicated through the shared
                 # cache instead of taking a coherence miss.
-                self._sharers.setdefault(pline, set()).add(cpu)
+                self._sharers[pline] = self._sharers.get(pline, 0) | 1 << cpu
                 pending = self._pending.get(pline)
                 if pending is not None and cpu in pending:
                     del pending[cpu]
@@ -262,7 +268,7 @@ class MemorySystem:
         evicted = l2.insert(pline)
         if evicted is not None:
             self._handle_eviction(cpu, time_ns, evicted)
-        self._sharers.setdefault(pline, set()).add(cpu)
+        self._sharers[pline] = self._sharers.get(pline, 0) | 1 << cpu
         if is_write:
             latency += self._write_coherence(cpu, time_ns + latency, paddr, stats)
         return latency, False, kind
@@ -306,18 +312,17 @@ class MemorySystem:
     ) -> float:
         """Obtain exclusive ownership of a line for a write."""
         pline = paddr & self._line_mask
-        sharers = self._sharers.setdefault(pline, set())
-        sharers.add(cpu)
+        others = self._sharers.get(pline, 0) & ~(1 << cpu)
+        # The writer ends up the line's only sharer.
+        self._sharers[pline] = 1 << cpu
         word_bit = 1 << self.config.l2.word_offset(paddr, self._word)
         stall = 0.0
-        others = [other for other in sharers if other != cpu]
         if others or self._dirty.get(pline) not in (cpu, None):
             grant = self.bus.request(time_ns, 0, BusTransactionKind.UPGRADE)
             stall = grant - time_ns
         if others:
-            vline = pline  # shared address space: virtual and physical lines
             pending = self._pending.setdefault(pline, {})
-            for other in others:
+            for other in cpus_in(others):
                 if not self.llc_shared:
                     # A shared LLC holds one copy for everyone — the
                     # writer's own line must survive; only the other
@@ -327,7 +332,6 @@ class MemorySystem:
                     self._mid[other].invalidate(pline)
                 self._invalidate_l1(other, pline)
                 pending[other] = pending.get(other, 0) | word_bit
-                sharers.discard(other)
         # Accumulate this write into every pending mask for the line, so a
         # reader that stays away through several writes still sees the full
         # set of words modified since its last access (Dubois).
@@ -349,9 +353,9 @@ class MemorySystem:
         self._l1i[cpu].invalidate(pline)
 
     def _handle_eviction(self, cpu: int, time_ns: float, evicted_line: int) -> None:
-        sharers = self._sharers.get(evicted_line)
-        if sharers is not None:
-            sharers.discard(cpu)
+        sharers = self._sharers
+        if evicted_line in sharers:
+            sharers[evicted_line] &= ~(1 << cpu)
         if self._dirty.get(evicted_line) == cpu:
             self._dirty[evicted_line] = None
             self.bus.request(time_ns, self._line, BusTransactionKind.WRITEBACK)
@@ -396,7 +400,7 @@ class MemorySystem:
         evicted = self._l2[cpu].insert(pline)
         if evicted is not None:
             self._handle_eviction(cpu, time_ns, evicted)
-        self._sharers.setdefault(pline, set()).add(cpu)
+        self._sharers[pline] = self._sharers.get(pline, 0) | 1 << cpu
         self._seen[cpu].add(pline)
         self._shadow[cpu].access(pline)
         self._inflight[(cpu, pline)] = time_ns + stall + latency
@@ -411,7 +415,7 @@ class MemorySystem:
         Returns ``(tlb, l1d, l1i)``.  The engine probes ``tlb.entries``
         and the caches' ``resident`` sets to prove a reference is an
         on-chip read hit with a TLB hit, then replays exactly the LRU
-        effects (``Tlb.entries`` move-to-back, ``SetAssociativeCache.promote``)
+        effects (``tlb.entries.move_to_end``, ``SetAssociativeCache.promote``)
         and credits the hit counters in bulk — bypassing :meth:`access`
         for references it would have answered without side effects.
         """
@@ -426,7 +430,7 @@ class MemorySystem:
 
     def line_state(self, paddr: int) -> tuple[frozenset[int], Optional[int]]:
         pline = paddr & self._line_mask
-        return frozenset(self._sharers.get(pline, ())), self._dirty.get(pline)
+        return frozenset(cpus_in(self._sharers.get(pline, 0))), self._dirty.get(pline)
 
     # ------------------------------------------------------------------
     # Dynamic-recoloring support (Section 2.1's alternative policy)

@@ -8,6 +8,8 @@ in the TLB — the reason prefetching is ineffective for applu (Section 6.2).
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.machine.config import TlbConfig
 
 
@@ -16,7 +18,7 @@ class Tlb:
 
     def __init__(self, config: TlbConfig) -> None:
         self.config = config
-        self._entries: dict[int, None] = {}
+        self._entries: OrderedDict[int, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -24,14 +26,13 @@ class Tlb:
         """Translate a page; fills on miss.  Returns True on a hit."""
         entries = self._entries
         if vpage in entries:
-            del entries[vpage]
-            entries[vpage] = None
+            entries.move_to_end(vpage)
             self.hits += 1
             return True
         self.misses += 1
         entries[vpage] = None
         if len(entries) > self.config.entries:
-            del entries[next(iter(entries))]
+            entries.popitem(last=False)
         return False
 
     def probe(self, vpage: int) -> bool:
@@ -39,14 +40,14 @@ class Tlb:
         return vpage in self._entries
 
     @property
-    def entries(self) -> dict[int, None]:
+    def entries(self) -> OrderedDict[int, None]:
         """The live entry table, least recently used first.
 
         Exposed for the engine's bulk hit filter, which needs O(1)
         membership probes and replays the move-to-back of a hit directly
-        (``del entries[vpage]; entries[vpage] = None``) while crediting
-        ``hits`` in bulk.  Treat as read-mostly; any mutation must preserve
-        the LRU-order invariant ``access`` maintains.
+        (``entries.move_to_end(vpage)``) while crediting ``hits`` in bulk.
+        Treat as read-mostly; any mutation must preserve the LRU-order
+        invariant ``access`` maintains.
         """
         return self._entries
 

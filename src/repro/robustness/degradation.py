@@ -205,7 +205,9 @@ class ColdPageReclaimer(ReclaimPolicy):
     paging path, minus the disk.
 
     ``on_evict(vpage, frame)`` lets the engine drop its own translation
-    cache for the evicted page.
+    cache for the evicted page.  The reclaimer keeps ``vm``'s page table,
+    not ``vm`` itself: the VM's physical memory holds the reclaimer, so a
+    reference back to the VM would make every run a reference cycle.
     """
 
     def __init__(
@@ -214,7 +216,7 @@ class ColdPageReclaimer(ReclaimPolicy):
         ms: MemorySystem,
         on_evict: Optional[Callable[[int, int], None]] = None,
     ) -> None:
-        self.vm = vm
+        self.page_table = vm.page_table
         self.ms = ms
         self.on_evict = on_evict
         self.evictions: int = 0
@@ -225,7 +227,7 @@ class ColdPageReclaimer(ReclaimPolicy):
         coldest_vpage: Optional[int] = None
         coldest_frame: Optional[int] = None
         coldest_misses: Optional[int] = None
-        for vpage, frame in self.vm.page_table.mappings():
+        for vpage, frame in self.page_table.mappings():
             misses = self.ms.frame_misses.get(frame, 0)
             if (
                 coldest_misses is None
@@ -235,7 +237,7 @@ class ColdPageReclaimer(ReclaimPolicy):
                 coldest_vpage, coldest_frame, coldest_misses = vpage, frame, misses
         if coldest_vpage is None:
             return None
-        self.vm.page_table.unmap(coldest_vpage)
+        self.page_table.unmap(coldest_vpage)
         self.ms.invalidate_frame(coldest_frame)
         self.ms.shootdown(coldest_vpage)
         physmem.free(coldest_frame)

@@ -525,9 +525,15 @@ class _Simulation:
         self.ms = MemorySystem(
             config, prefetch_fills_tlb=options.prefetch_fills_tlb
         )
+        page_cache: dict[int, int] = {}  # vpage -> frame base address
+        self.page_cache = page_cache
         if options.reclaim:
+            # The hook holds the page cache, not the simulation: a bound
+            # method here would close a reference cycle through the VM,
+            # keeping every finished run alive until a full collection.
             cold = ColdPageReclaimer(
-                self.vm, self.ms, on_evict=self._on_page_evicted
+                self.vm, self.ms,
+                on_evict=lambda vpage, _frame: page_cache.pop(vpage, None),
             )
             self.vm.physmem.reclaim_policy = CascadeReclaimer([
                 HeldFrameReclaimer(),
@@ -606,7 +612,6 @@ class _Simulation:
         self._layout_fp = layout_fingerprint(self.layout)
         self._plan_fp = plan_fingerprint(self.prefetch_plan)
         self.clocks = [0.0] * self.num_cpus
-        self.page_cache: dict[int, int] = {}  # vpage -> frame base address
         self._rng = random.Random(options.seed)
         self.init_ns = 0.0
         # Occurrence counters per phase, for miss_variation (Section 3.2's
@@ -729,10 +734,6 @@ class _Simulation:
 
     # ------------------------------------------------------------------
     # Robustness hooks
-
-    def _on_page_evicted(self, vpage: int, frame: int) -> None:
-        """Cold-page reclaim evicted a mapping; drop the stale translation."""
-        self.page_cache.pop(vpage, None)
 
     #: Honor-rate histogram buckets sampled once per churn beat.
     _HONOR_RATE_EDGES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)

@@ -9,7 +9,9 @@ of them — same counters, same float stall times, same serialized result.
 A hypothesis sweep additionally explores random tiny geometries (slice
 counts, associativities, optional mid level, shared vs private LLC) the
 presets never produce, and the symbolic analyzer's occupancy witnesses
-are replayed through the real simulator on the sliced geometry.
+are replayed through the real simulator on the sliced geometry.  At the
+end of a run the coherence directory itself must match the oracle's,
+line by line, on every preset.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.config import MachineConfig, sliced_llc_8x, three_level
+from repro.machine.config import MachineConfig, sgi_base, sliced_llc_8x, three_level
 from repro.machine.hierarchy import CacheHierarchy, CacheLevel, xor_slice_masks
-from repro.sim.engine import EngineOptions, run_benchmark, run_program
+from repro.sim.engine import EngineOptions, _Simulation, run_benchmark, run_program
 from repro.sim.tracegen import SimProfile
+from repro.workloads import get_workload
 
 from tests.test_columnar_equivalence import programs
 
@@ -57,6 +60,33 @@ def test_fast_and_columnar_match_oracle(geometry, label):
     )
     assert scalar.to_dict() == oracle.to_dict()
     assert columnar.to_dict() == oracle.to_dict()
+
+
+@pytest.mark.parametrize("preset", [sgi_base, sliced_llc_8x, three_level])
+def test_end_of_run_directory_matches_oracle(preset):
+    """Sharers, dirty owner and pending masks of every touched line.
+
+    mgrid writes lines other CPUs hold, so the run ends with pending
+    invalidation masks on every preset and multi-CPU sharer masks on
+    the shared LLC.
+    """
+    config = preset(2).scaled(16)
+    program = get_workload("mgrid", scale=16).program
+    base = EngineOptions(profile=SimProfile.fast(), policy="bin_hopping", cdpc=True)
+    sims = [
+        _Simulation(program, config, replace(base, fast_path=fast_path))
+        for fast_path in (True, False)
+    ]
+    fast, oracle = (sim.run().to_dict() for sim in sims)
+    assert fast == oracle
+    fast_ms, oracle_ms = (sim.ms for sim in sims)
+    assert oracle_ms._pending
+    lines = set()
+    for ms in (fast_ms, oracle_ms):
+        lines |= ms._sharers.keys() | ms._dirty.keys() | ms._pending.keys()
+    for line in lines:
+        assert fast_ms.line_state(line) == oracle_ms.line_state(line), line
+        assert fast_ms._pending.get(line) == oracle_ms._pending.get(line), line
 
 
 @st.composite
@@ -127,7 +157,6 @@ class TestWitnessReplay:
             verify_plan,
         )
         from repro.compiler.padding import layout_arrays
-        from repro.workloads import get_workload
 
         config = preset(4).scaled(16)
         program = get_workload("tomcatv", scale=16).program

@@ -246,3 +246,21 @@ class TestRunBenchmark:
         stats = result.stats.cpus[0]
         assert stats.l1i_misses > 0
         assert result.bus_utilization() < 0.2
+
+    def test_finished_run_leaves_no_cyclic_garbage(self):
+        # A run is freed by reference counting alone: nothing it builds
+        # (reclaim hooks included) may wait for the cycle collector.
+        import gc
+
+        from repro.machine.config import sgi_base
+
+        config = sgi_base(2).scaled(16)
+        options = EngineOptions(profile=SimProfile.fast(), reclaim=True)
+        run_benchmark("tomcatv", config, options)  # warm lazy imports
+        gc.collect()
+        gc.disable()
+        try:
+            run_benchmark("tomcatv", config, options)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
