@@ -73,7 +73,7 @@ def collect_static_vs_sim(
 ) -> list[PredictionCell]:
     """Predict then simulate every (workload, policy) cell.
 
-    The simulator leg is the expensive one (seconds per cell vs
+    The simulator leg is the expensive one (seconds per cell vs tens of
     milliseconds for the prediction); callers wanting prediction only
     should use :func:`repro.checker.predict_workload` directly.
     """

@@ -13,7 +13,8 @@ Three rule families exist:
   machine geometry (Sections 2.1, 5.2-5.4, 6.1-6.2);
 * ``static`` — symbolic footprint/occupancy scoring of the *realized*
   color plan via :mod:`repro.checker.staticmiss` (Sections 4, 6).  These
-  rules build a full program image (~100ms per workload), so they only
+  rules build a full program image (about 15% of a static prediction's
+  time; see docs/static_analysis.md), so they only
   run when :attr:`LintContext.static` is set — the engine's per-run lint
   gate leaves it off unless ``EngineOptions.static_check`` asks for it.
 """

@@ -317,69 +317,60 @@ class LineTouch:
 def _accumulate_stream_lines(
     stream: StreamImage, line_size: int, lines: dict[int, LineTouch]
 ) -> None:
-    """Fold one stream's exact per-line reference/visit counts into ``lines``."""
+    """Fold one stream's exact per-line reference/visit counts into ``lines``.
+
+    Each pass walks every progression in order; the fractional prefix
+    pass stops after the stream's first ``prefix_elems`` elements.  A
+    line holding elements ``[k, end)`` of a progression gets
+    ``(end - k) * whole`` references from the whole passes, one visit per
+    whole pass, and one more visit (with its prefix elements) when the
+    prefix pass reaches it.
+    """
     whole = stream.whole
-    prefix_left = stream.prefix_elems
-    if whole == 0 and prefix_left == 0:
+    prefix_elems = stream.prefix_elems
+    if whole == 0 and prefix_elems == 0:
         return
-    offset = 0  # global element index at the start of the current progression
-    touched_this_stream: set[int] = set()
+    is_write = stream.is_write
+    is_instr = stream.is_instr
+    # A progression's lines are distinct, so only a stream of several
+    # progressions can reach one line twice and count it as one stream.
+    touched: Optional[set[int]] = set() if len(stream.progs) > 1 else None
+    offset = 0  # stream-wide index of the progression's first element
     for prog in stream.progs:
-        if prog.count == 0:
-            continue
-        prefix_in_prog = max(0, min(prog.count, stream.prefix_elems - offset))
-        prefix_limit = (
-            prog.start + prefix_in_prog * prog.step if prefix_in_prog else prog.start
-        )
-        if prog.step <= line_size:
-            first_line = (prog.start // line_size) * line_size
-            last_line = (prog.last // line_size) * line_size
-            for laddr in range(first_line, last_line + 1, line_size):
-                full = prog.count_in(laddr, laddr + line_size)
-                if full == 0:
-                    continue
-                pref = prog.count_in(laddr, min(laddr + line_size, prefix_limit))
-                _touch_line(
-                    lines, touched_this_stream, laddr, stream,
-                    full * whole + pref,
-                    whole * (1 if full else 0) + (1 if pref else 0),
-                )
-        else:
-            for k in range(prog.count):
-                addr = prog.start + k * prog.step
-                laddr = (addr // line_size) * line_size
-                in_prefix = 1 if k < prefix_in_prog else 0
-                _touch_line(
-                    lines, touched_this_stream, laddr, stream,
-                    whole + in_prefix,
-                    whole + in_prefix,
-                )
-        offset += prog.count
-
-
-def _touch_line(
-    lines: dict[int, LineTouch],
-    touched: set[int],
-    laddr: int,
-    stream: StreamImage,
-    refs: int,
-    visits: int,
-) -> None:
-    if refs == 0 and visits == 0:
-        return
-    info = lines.get(laddr)
-    if info is None:
-        info = LineTouch()
-        lines[laddr] = info
-    info.refs += refs
-    info.visits += visits
-    if laddr not in touched:
-        touched.add(laddr)
-        info.streams += 1
-    if stream.is_write:
-        info.written = True
-    if stream.is_instr:
-        info.instr = True
+        count = prog.count
+        start = prog.start
+        step = prog.step
+        in_prefix = max(0, min(count, prefix_elems - offset))
+        offset += count
+        # Without whole passes, lines past the prefix are never touched.
+        limit = count if whole else in_prefix
+        k = 0
+        while k < limit:
+            addr = start + k * step
+            laddr = addr - addr % line_size
+            end = (laddr + line_size - 1 - start) // step + 1
+            if end > count:
+                end = count
+            refs = (end - k) * whole
+            visits = whole
+            if k < in_prefix:
+                refs += (end if end < in_prefix else in_prefix) - k
+                visits += 1
+            k = end
+            info = lines.get(laddr)
+            if info is None:
+                info = lines[laddr] = LineTouch()
+            info.refs += refs
+            info.visits += visits
+            if touched is None:
+                info.streams += 1
+            elif laddr not in touched:
+                touched.add(laddr)
+                info.streams += 1
+            if is_write:
+                info.written = True
+            if is_instr:
+                info.instr = True
 
 
 @dataclass
@@ -754,63 +745,149 @@ class PlanVerification:
 _WITNESS_CAP = 32
 
 
-def _occupancy_witnesses(
-    lines: dict[int, LineTouch],
-    plan: StaticPlan,
-    config: MachineConfig,
-    layout: Layout,
-    cpu: int,
-    phase: Optional[str] = None,
-    loop: Optional[str] = None,
-) -> tuple[list[ConflictWitness], int, int]:
-    """Per-(color, line-index) page occupancy for one line map.
+def _set_id(laddr: int, psz: int, line: int, lpp: int, plan: StaticPlan) -> int:
+    """Symbolic cache-set id: ``color * lines_per_page + line_index``.
 
-    Binning by ``(color, k)`` is exact on every geometry, not just the
-    classic bit-field: a :class:`~repro.machine.hierarchy.ColorFunction`
-    maps each ``(color, line-index)`` pair to a distinct external-cache
-    set (``set_of`` is a bijection onto the sets), so two lines collide
-    in the cache iff they share a bin.  Sliced XOR-hashed LLCs satisfy
-    this because their hash is GF(2)-linear in the frame number.
+    This is a relabeling of the machine's physical set index, valid on
+    every geometry: ``ColorFunction.set_of`` maps ``(color, k)`` pairs
+    bijectively onto the global external-cache sets, so equality of
+    ``_set_id`` is equality of the physical set, which is all the
+    symbolic simulation depends on.
     """
+    vpage = laddr // psz
+    k = (laddr % psz) // line
+    return plan.color_of(vpage) * lpp + k
+
+
+@dataclass
+class _CpuSets:
+    """One processor's steady-state cycle grouped by external-cache set.
+
+    Sets carry :func:`_set_id`'s symbolic ``color * lines_per_page + k``
+    labels.  ``events[sid]`` lists, in loop order, every loop execution
+    that touches the set as ``(loop index, [(line addr, touch), ...])``;
+    ``population[sid]`` counts the set's distinct lines over the cycle.
+    Both dicts keep the order in which the cycle first touches each set.
+    """
+
+    events: dict[int, list[tuple[int, list[tuple[int, LineTouch]]]]]
+    population: dict[int, int]
+
+
+def _group_sets(image: ProgramImage, plan: StaticPlan, cpu: int) -> _CpuSets:
+    """Group one processor's line touches by set, computing each line's set once."""
+    config = image.config
     psz = config.page_size
     line = config.l2.line_size
-    assoc = config.l2.associativity
-    bins: dict[tuple[int, int], set[int]] = {}
-    for laddr in lines:
-        vpage = laddr // psz
-        k = (laddr % psz) // line
-        color = plan.color_of(vpage)
-        bins.setdefault((color, k), set()).add(vpage)
-    witnesses: list[ConflictWitness] = []
+    lpp = psz // line
+    line_sid: dict[int, int] = {}
+    events: dict[int, list[tuple[int, list[tuple[int, LineTouch]]]]] = {}
+    population: dict[int, int] = {}
+    for j, loop_image in enumerate(image.loops):
+        for laddr, touch in loop_image.lines[cpu].items():
+            sid = line_sid.get(laddr)
+            if sid is None:
+                sid = line_sid[laddr] = _set_id(laddr, psz, line, lpp, plan)
+                population[sid] = population.get(sid, 0) + 1
+            set_events = events.get(sid)
+            if set_events is None:
+                events[sid] = [(j, [(laddr, touch)])]
+            elif set_events[-1][0] == j:
+                set_events[-1][1].append((laddr, touch))
+            else:
+                set_events.append((j, [(laddr, touch)]))
+    return _CpuSets(events, population)
+
+
+def _witness(
+    image: ProgramImage,
+    cpu: int,
+    sid: int,
+    excess: int,
+    touch_lists: list[list[tuple[int, LineTouch]]],
+    loop_image: Optional[LoopImage] = None,
+) -> ConflictWitness:
+    """The witness for one overflowing set, naming its pages' arrays."""
+    psz = image.config.page_size
+    color, k = divmod(sid, psz // image.config.l2.line_size)
+    pages = tuple(
+        sorted({laddr // psz for touches in touch_lists for laddr, _ in touches})
+    )
+    arrays: list[str] = []
+    for vpage in pages:
+        vaddr = vpage * psz
+        if vaddr >= INSTRUCTION_BASE:
+            name = "instructions"
+        else:
+            name = image.layout.array_at(vaddr) or "other"
+        if name not in arrays:
+            arrays.append(name)
+    return ConflictWitness(
+        cpu=cpu,
+        color=color,
+        line_index=k,
+        pages=pages,
+        arrays=tuple(arrays),
+        excess=excess,
+        phase=None if loop_image is None else loop_image.phase,
+        loop=None if loop_image is None else loop_image.loop,
+    )
+
+
+def _verify_sets(image: ProgramImage, groups: list[_CpuSets]) -> PlanVerification:
+    """:func:`verify_plan` over per-processor set groupings.
+
+    Overflowing sets are ranked by ``(-excess, cpu, color, line_index)``,
+    loop-scoped overflows of one set then by loop order, and only the
+    first ``_WITNESS_CAP`` of each list become witnesses.  The set label
+    ``color * lines_per_page + line_index`` orders like
+    ``(color, line_index)``, so it stands in for the pair in the keys.
+    """
+    assoc = image.config.l2.associativity
+    cycle: list[tuple[int, int, int]] = []  # (-excess, cpu, sid)
+    looped: list[tuple[int, int, int, int]] = []  # (-excess, cpu, sid, loop)
     max_occ = 0
-    for (color, k), pages in bins.items():
-        occ = len(pages)
-        max_occ = max(max_occ, occ)
-        if occ > assoc:
-            ordered = tuple(sorted(pages))
-            arrays = []
-            for vpage in ordered:
-                vaddr = vpage * psz
-                if vaddr >= INSTRUCTION_BASE:
-                    name = "instructions"
-                else:
-                    name = layout.array_at(vaddr) or "other"
-                if name not in arrays:
-                    arrays.append(name)
-            witnesses.append(
-                ConflictWitness(
-                    cpu=cpu,
-                    color=color,
-                    line_index=k,
-                    pages=ordered,
-                    arrays=tuple(arrays),
-                    excess=occ - assoc,
-                    phase=phase,
-                    loop=loop,
-                )
-            )
-    witnesses.sort(key=lambda w: (-w.excess, w.color, w.line_index, w.cpu))
-    return witnesses, max_occ, len(bins)
+    sets_checked = 0
+    for cpu, sets in enumerate(groups):
+        sets_checked += len(sets.population)
+        for sid, events in sets.events.items():
+            occ = sets.population[sid]
+            max_occ = max(max_occ, occ)
+            if occ > assoc:
+                cycle.append((assoc - occ, cpu, sid))
+            for j, touches in events:
+                if len(touches) > assoc:
+                    looped.append((assoc - len(touches), cpu, sid, j))
+    cycle.sort()
+    looped.sort()
+    witnesses = [
+        _witness(
+            image,
+            cpu,
+            sid,
+            -neg_excess,
+            [touches for _j, touches in groups[cpu].events[sid]],
+        )
+        for neg_excess, cpu, sid in cycle[:_WITNESS_CAP]
+    ]
+    loop_witnesses = [
+        _witness(
+            image,
+            cpu,
+            sid,
+            -neg_excess,
+            [dict(groups[cpu].events[sid])[j]],
+            image.loops[j],
+        )
+        for neg_excess, cpu, sid, j in looped[:_WITNESS_CAP]
+    ]
+    return PlanVerification(
+        conflict_free=not cycle,
+        witnesses=witnesses,
+        loop_witnesses=loop_witnesses,
+        max_occupancy=max_occ,
+        sets_checked=sets_checked,
+    )
 
 
 def verify_plan(
@@ -824,41 +901,19 @@ def verify_plan(
     :class:`ConflictWitness`; loop-scoped witnesses (overflow within a
     single loop execution, the immediately thrashing case) are reported
     separately.
+
+    Binning by the ``(color, line-index)`` set label is exact on every
+    geometry, not just the classic bit-field: a
+    :class:`~repro.machine.hierarchy.ColorFunction` maps each
+    ``(color, line-index)`` pair to a distinct external-cache set
+    (``set_of`` is a bijection onto the sets), so two lines collide in
+    the cache iff they share a bin.  Sliced XOR-hashed LLCs satisfy this
+    because their hash is GF(2)-linear in the frame number.  Within one
+    bin, distinct lines lie on distinct pages, so a bin's line count is
+    its page occupancy.
     """
-    config = image.config
-    layout = image.layout
-    witnesses: list[ConflictWitness] = []
-    loop_witnesses: list[ConflictWitness] = []
-    max_occ = 0
-    sets_checked = 0
-    for cpu in range(image.num_cpus):
-        cycle = image.cycle_lines(cpu)
-        found, occ, checked = _occupancy_witnesses(
-            cycle, plan, config, layout, cpu
-        )
-        witnesses.extend(found)
-        max_occ = max(max_occ, occ)
-        sets_checked += checked
-        for loop_image in image.loops:
-            loop_found, _, _ = _occupancy_witnesses(
-                loop_image.lines[cpu],
-                plan,
-                config,
-                layout,
-                cpu,
-                phase=loop_image.phase,
-                loop=loop_image.loop,
-            )
-            loop_witnesses.extend(loop_found)
-    witnesses.sort(key=lambda w: (-w.excess, w.cpu, w.color, w.line_index))
-    loop_witnesses.sort(key=lambda w: (-w.excess, w.cpu, w.color, w.line_index))
-    return PlanVerification(
-        conflict_free=not witnesses,
-        witnesses=witnesses[:_WITNESS_CAP],
-        loop_witnesses=loop_witnesses[:_WITNESS_CAP],
-        max_occupancy=max_occ,
-        sets_checked=sets_checked,
-    )
+    groups = [_group_sets(image, plan, cpu) for cpu in range(image.num_cpus)]
+    return _verify_sets(image, groups)
 
 
 @dataclass(frozen=True)
@@ -928,7 +983,7 @@ def _data_hotspots(
 ) -> tuple[list[ConflictHotspot], int, int]:
     """Occupancy overflows on data pages, with balanced-load baselines.
 
-    Bins by ``(color, k)`` like :func:`_occupancy_witnesses`; exact on
+    Bins by ``(color, k)`` like :func:`verify_plan`; exact on
     all geometries because ``ColorFunction.set_of`` is a bijection from
     those pairs onto the physical external-cache sets.
     """
@@ -1162,27 +1217,25 @@ class MissEstimate:
 
 
 class _KindAcc:
-    """Accumulates (lo, estimate, hi) mass for one miss kind."""
+    """Accumulates (estimate, ceiling) mass for one miss kind."""
 
-    __slots__ = ("lo", "est", "hi")
+    __slots__ = ("est", "hi")
 
     def __init__(self) -> None:
-        self.lo = 0.0
         self.est = 0.0
         self.hi = 0.0
 
-    def estimate(self) -> MissEstimate:
-        lo = min(self.lo, self.est)
-        hi = max(self.hi, self.est)
-        return MissEstimate(predicted=self.est, lo=lo, hi=hi)
+
+#: One simulation's (conflict, capacity, sharing) accumulators.
+_Tally = tuple[_KindAcc, _KindAcc, _KindAcc]
 
 
-@dataclass
-class _SetEvent:
-    """One loop execution's touches of one external-cache set."""
+#: One loop execution's visits to one set: (loop index, [(line addr,
+#: visits, shared)], most visits of any line).
+_Visits = tuple[int, list[tuple[int, int, bool]], int]
 
-    loop_index: int
-    lines: list[tuple[int, int, bool]]  # (line addr, visits, shared)
+#: Outcomes of one measured visit, recorded by :func:`_replay_set`.
+_CONFLICT, _CAPACITY, _AMBIGUOUS, _SHARED_HIT, _SHARED_MISS = range(5)
 
 
 #: Conflict/capacity classification bands relative to the shadow capacity.
@@ -1285,20 +1338,6 @@ class StaticCheckError(RuntimeError):
         self.violations = violations
 
 
-def _set_id(laddr: int, psz: int, line: int, lpp: int, plan: StaticPlan) -> int:
-    """Symbolic cache-set id: ``color * lines_per_page + line_index``.
-
-    This is a relabeling of the machine's physical set index, valid on
-    every geometry: ``ColorFunction.set_of`` maps ``(color, k)`` pairs
-    bijectively onto the global external-cache sets, so equality of
-    ``_set_id`` is equality of the physical set, which is all the
-    symbolic simulation depends on.
-    """
-    vpage = laddr // psz
-    k = (laddr % psz) // line
-    return plan.color_of(vpage) * lpp + k
-
-
 def _shared_written_lines(image: ProgramImage) -> dict[int, int]:
     """Line address -> bitmask of CPUs that write it anywhere in the cycle."""
     writers: dict[int, int] = {}
@@ -1312,34 +1351,31 @@ def _shared_written_lines(image: ProgramImage) -> dict[int, int]:
 
 def _simulate_cpu_sets(
     image: ProgramImage,
-    plan: StaticPlan,
+    sets: _CpuSets,
     cpu: int,
     writers: dict[int, int],
-    gated: bool,
-    acc_conflict: _KindAcc,
-    acc_capacity: _KindAcc,
-    acc_sharing: _KindAcc,
-    per_loop: Optional[dict[tuple[str, str], dict[str, float]]],
+    estimate: _Tally,
+    ceiling: _Tally,
+    per_loop: dict[tuple[str, str], dict[str, float]],
 ) -> None:
     """Per-set symbolic cache simulation for one processor.
 
-    Two passes over the steady-state cycle: the first settles state (the
-    engine's warmup), the second accumulates weighted miss mass.  With
-    ``gated=True`` lines whose L1 set is quiet (cycle occupancy within the
-    on-chip associativity) never reach the external cache — the estimate
-    path.  With ``gated=False`` every visit counts — the upper bound path.
+    Every set is replayed (:func:`_replay_set`) for two tallies.  For the
+    estimate, lines whose L1 set is quiet (cycle occupancy within the
+    on-chip associativity) never reach the external cache; for the
+    ceiling, every visit counts.  When every line of a set passes that
+    L1 gate both replays see the same visits, so the set is replayed
+    once and its outcomes go to both tallies.
 
-    External-cache sets are identified by :func:`_set_id`'s symbolic
-    ``(color, k)`` labels, which relabel the physical sets bijectively on
-    every geometry (including sliced XOR-hashed LLCs), so no hash-specific
-    logic is needed here.
+    External-cache sets carry :func:`_set_id`'s symbolic ``(color, k)``
+    labels, which relabel the physical sets bijectively on every geometry
+    (including sliced XOR-hashed LLCs), so no hash-specific logic is
+    needed here.
     """
     config = image.config
-    psz = config.page_size
     line = config.l2.line_size
-    lpp = psz // line
     assoc = config.l2.associativity
-    shadow_cap = config.l2.num_lines
+    loops = image.loops
 
     # On-chip pressure per L1 set (data and instruction caches separately).
     l1d_sets = config.l1d.num_sets
@@ -1347,7 +1383,7 @@ def _simulate_cpu_sets(
     l1d_pressure: dict[int, set[int]] = {}
     l1i_pressure: dict[int, set[int]] = {}
     loop_distinct: list[int] = []
-    for loop_image in image.loops:
+    for loop_image in loops:
         lines_map = loop_image.lines[cpu]
         loop_distinct.append(len(lines_map))
         for laddr, touch in lines_map.items():
@@ -1359,172 +1395,193 @@ def _simulate_cpu_sets(
                 l1d_pressure.setdefault((laddr // line) % l1d_sets, set()).add(
                     laddr
                 )
-
-    def is_active(laddr: int, instr: bool) -> bool:
-        if not gated:
-            return True
-        if instr:
-            occupancy = l1i_pressure.get((laddr // line) % l1i_sets)
-            limit = config.l1i.associativity
-        else:
-            occupancy = l1d_pressure.get((laddr // line) % l1d_sets)
-            limit = config.l1d.associativity
-        return occupancy is not None and len(occupancy) > limit
+    l1d_hot = {
+        index
+        for index, members in l1d_pressure.items()
+        if len(members) > config.l1d.associativity
+    }
+    l1i_hot = {
+        index
+        for index, members in l1i_pressure.items()
+        if len(members) > config.l1i.associativity
+    }
 
     # Prefix sums of per-loop distinct line counts over two cycles, for
     # the reuse-distance proxy behind the conflict/capacity split.
-    n_loops = len(image.loops)
+    n_loops = len(loops)
     prefix = [0] * (2 * n_loops + 1)
     for j in range(2 * n_loops):
         prefix[j + 1] = prefix[j] + loop_distinct[j % n_loops]
 
-    # Group each set's touches per loop execution.
-    sets: dict[int, list[_SetEvent]] = {}
-    for j, loop_image in enumerate(image.loops):
-        events_for_loop: dict[int, _SetEvent] = {}
-        for laddr, touch in loop_image.lines[cpu].items():
-            sid = _set_id(laddr, psz, line, lpp, plan)
-            event = events_for_loop.get(sid)
-            if event is None:
-                event = _SetEvent(loop_index=j, lines=[])
-                events_for_loop[sid] = event
-                sets.setdefault(sid, []).append(event)
-            other_writers = writers.get(laddr, 0) & ~(1 << cpu)
-            event.lines.append((laddr, touch.visits, other_writers != 0))
-
-    weights = [loop_image.weight for loop_image in image.loops]
-    names = [(loop_image.phase, loop_image.loop) for loop_image in image.loops]
-
-    for events in sets.values():
-        resident: list[int] = []  # LRU order, most recent last
-        last_touch: dict[int, int] = {}  # line -> global loop position
-        instr_lines = {
-            laddr
-            for event in events
-            for (laddr, _v, _s) in event.lines
-        }
-        cycle_occupancy = len(instr_lines)
-        instr_set = bool(instr_lines) and all(
-            laddr >= INSTRUCTION_BASE for laddr in instr_lines
-        )
+    weights = [float(loop_image.weight) for loop_image in loops]
+    names = [(loop_image.phase, loop_image.loop) for loop_image in loops]
+    others = ~(1 << cpu)
+    shadow_cap = config.l2.num_lines
+    gated_outcomes: list[tuple[int, int]] = []
+    ceiling_outcomes: list[tuple[int, int]] = []
+    for sid, events in sets.events.items():
+        # The ceiling's visits: every visiting line of each loop execution.
+        visited: list[_Visits] = []
+        instr_set = True
+        for j, touches in events:
+            lines: list[tuple[int, int, bool]] = []
+            most = 0
+            for laddr, touch in touches:
+                if laddr < INSTRUCTION_BASE:
+                    instr_set = False
+                visits = touch.visits
+                if visits > 0:
+                    lines.append(
+                        (laddr, visits, writers.get(laddr, 0) & others != 0)
+                    )
+                    most = max(most, visits)
+            if lines:
+                visited.append((j, lines, most))
+        if instr_set:
+            hot, l1_sets = l1i_hot, l1i_sets
+        else:
+            hot, l1_sets = l1d_hot, l1d_sets
+        # The estimate's visits: the lines past the L1 gate.
+        gated: list[_Visits] = []
+        all_pass = True
+        for j, lines, most in visited:
+            passing = [entry for entry in lines if (entry[0] // line) % l1_sets in hot]
+            if len(passing) < len(lines):
+                all_pass = False
+                if not passing:
+                    continue
+                most = max(visits for _a, visits, _s in passing)
+            gated.append((j, passing, most))
         # A set whose cycle-wide line population exceeds the associativity
         # cannot sustain LRU hits against the real reference interleave:
         # merged streams split symbolic visits into several on-chip
         # excursions with same-set touches in between, so repeat visits
         # the symbolic LRU scores as hits miss in practice (confirmed
         # against per-set instrumentation of the simulator).
-        contended = cycle_occupancy > assoc
-        for measure in (False, True):
-            base_pos = n_loops if measure else 0
-            for event in events:
-                j = event.loop_index
-                pos = base_pos + j
-                weight = float(weights[j])
-                active_lines = [
-                    (laddr, visits, shared)
-                    for (laddr, visits, shared) in event.lines
-                    if visits > 0 and is_active(laddr, instr_set)
-                ]
-                if not active_lines:
-                    continue
-                max_visits = max(v for (_a, v, _s) in active_lines)
-                loop_ws = loop_distinct[j]
-                for round_index in range(max_visits):
-                    for laddr, visits, shared in active_lines:
-                        if visits <= round_index:
-                            continue
-                        hit = laddr in resident
-                        if hit:
-                            resident.remove(laddr)
-                            resident.append(laddr)
-                        else:
-                            resident.append(laddr)
-                            if len(resident) > assoc:
-                                resident.pop(0)
-                        # A symbolic LRU hit survives in the real cache only
-                        # when the line was re-touched within roughly one
-                        # cache capacity of other references: beyond that,
-                        # interleave-split visits and extra same-set traffic
-                        # evict it even though the per-set LRU retains it.
-                        converted = False
-                        if hit and contended:
-                            if round_index > 0:
-                                converted = True
-                            else:
-                                last = last_touch.get(laddr)
-                                if last is None or last >= pos:
-                                    converted = True
-                                else:
-                                    between = prefix[pos] - prefix[
-                                        min(last + 1, pos)
-                                    ]
-                                    converted = (
-                                        between + loop_ws >= shadow_cap
-                                    )
-                        if measure:
-                            if shared:
-                                # Invalidations strike regardless of
-                                # residency: every visit can miss.
-                                acc_sharing.hi += weight
-                                if not hit or contended:
-                                    acc_sharing.est += weight
-                            elif not hit or converted:
-                                last = last_touch.get(laddr)
-                                _classify_and_add(
-                                    weight,
-                                    round_index,
-                                    last,
-                                    pos,
-                                    prefix,
-                                    loop_ws,
-                                    shadow_cap,
-                                    acc_conflict,
-                                    acc_capacity,
-                                    per_loop,
-                                    names[j],
-                                )
-                        last_touch[laddr] = pos
-
-
-def _classify_and_add(
-    weight: float,
-    round_index: int,
-    last: Optional[int],
-    pos: int,
-    prefix: list[int],
-    loop_ws: int,
-    shadow_cap: int,
-    acc_conflict: _KindAcc,
-    acc_capacity: _KindAcc,
-    per_loop: Optional[dict[tuple[str, str], dict[str, float]]],
-    name: tuple[str, str],
-) -> None:
-    """Attribute one predicted miss to a kind with interval widening."""
-    if round_index > 0:
-        distance = float(loop_ws)  # sweep repeat within the loop
-    elif last is None or last >= pos:
-        distance = float(loop_ws)
-    else:
-        between = prefix[pos] - prefix[min(last + 1, pos)]
-        distance = float(between + loop_ws)
-    if distance <= _CONFLICT_BAND * shadow_cap:
-        acc_conflict.est += weight
-        acc_conflict.lo += 0.0
-        acc_conflict.hi += weight
-    elif distance >= _CAPACITY_BAND * shadow_cap:
-        acc_capacity.est += weight
-        acc_capacity.hi += weight
-    else:
-        # Ambiguous shadow verdict: split the estimate, widen both sides.
-        acc_conflict.est += 0.5 * weight
-        acc_conflict.hi += weight
-        acc_capacity.est += 0.5 * weight
-        acc_capacity.hi += weight
-    if per_loop is not None:
-        entry = per_loop.setdefault(
-            name, {"replacement_predicted": 0.0, "refs": 0.0}
+        contended = sets.population[sid] > assoc
+        outcomes = _replay_set(
+            visited, n_loops, assoc, contended, prefix, loop_distinct, shadow_cap
         )
-        entry["replacement_predicted"] += weight
+        ceiling_outcomes += outcomes
+        if not all_pass:
+            outcomes = _replay_set(
+                gated, n_loops, assoc, contended, prefix, loop_distinct, shadow_cap
+            )
+        gated_outcomes += outcomes
+    _tally_outcomes(gated_outcomes, weights, names, estimate, per_loop)
+    _tally_outcomes(ceiling_outcomes, weights, names, ceiling)
+
+
+def _replay_set(
+    events: list[_Visits],
+    n_loops: int,
+    assoc: int,
+    contended: bool,
+    prefix: list[int],
+    loop_distinct: list[int],
+    shadow_cap: int,
+) -> list[tuple[int, int]]:
+    """LRU-replay one set's visits; return the measured cycle's outcomes.
+
+    Two passes over the steady-state cycle: the first settles state (the
+    engine's warmup), the second records one ``(loop index, outcome)``
+    pair per visit that counts as a miss, in visit order.  Within a loop
+    execution a line with ``v`` visits is touched in rounds ``0..v-1``,
+    each round in line order.
+    """
+    resident: list[int] = []  # LRU order, most recent last
+    last_touch: dict[int, int] = {}  # line -> global loop position
+    conflict_band = _CONFLICT_BAND * shadow_cap
+    capacity_band = _CAPACITY_BAND * shadow_cap
+    outcomes: list[tuple[int, int]] = []
+    for measure in (False, True):
+        base_pos = n_loops if measure else 0
+        for j, lines, most in events:
+            pos = base_pos + j
+            loop_ws = loop_distinct[j]
+            for round_index in range(most):
+                for laddr, visits, shared in lines:
+                    if visits <= round_index:
+                        continue
+                    hit = laddr in resident
+                    if hit:
+                        resident.remove(laddr)
+                        resident.append(laddr)
+                    else:
+                        resident.append(laddr)
+                        if len(resident) > assoc:
+                            del resident[0]
+                    if not measure:
+                        pass  # the warm-up pass only settles state
+                    elif shared:
+                        # Invalidations strike regardless of residency:
+                        # every visit can miss.
+                        outcomes.append(
+                            (j, _SHARED_MISS if not hit or contended else _SHARED_HIT)
+                        )
+                    elif not hit or contended:
+                        # Reuse distance: the loop's own working set plus
+                        # the distinct lines of the loops since the last
+                        # touch.  A symbolic LRU hit survives in the real
+                        # cache only when the line was re-touched within
+                        # roughly one cache capacity of other references:
+                        # beyond that, interleave-split visits and extra
+                        # same-set traffic evict it even though the
+                        # per-set LRU retains it.
+                        last = last_touch.get(laddr)
+                        if round_index > 0 or last is None or last >= pos:
+                            distance = loop_ws  # sweep repeat within the loop
+                            converted = True
+                        else:
+                            distance = prefix[pos] - prefix[last + 1] + loop_ws
+                            converted = distance >= shadow_cap
+                        if not hit or converted:
+                            if distance <= conflict_band:
+                                outcome = _CONFLICT
+                            elif distance >= capacity_band:
+                                outcome = _CAPACITY
+                            else:
+                                outcome = _AMBIGUOUS
+                            outcomes.append((j, outcome))
+                    last_touch[laddr] = pos
+    return outcomes
+
+
+def _tally_outcomes(
+    outcomes: list[tuple[int, int]],
+    weights: list[float],
+    names: list[tuple[str, str]],
+    tally: _Tally,
+    per_loop: Optional[dict[tuple[str, str], dict[str, float]]] = None,
+) -> None:
+    """Add replayed outcomes, in order, to one simulation's accumulators."""
+    conflict, capacity, sharing = tally
+    for j, outcome in outcomes:
+        weight = weights[j]
+        if outcome == _SHARED_HIT:
+            sharing.hi += weight
+            continue
+        if outcome == _SHARED_MISS:
+            sharing.hi += weight
+            sharing.est += weight
+            continue
+        if outcome == _CONFLICT:
+            conflict.est += weight
+            conflict.hi += weight
+        elif outcome == _CAPACITY:
+            capacity.est += weight
+            capacity.hi += weight
+        else:
+            # Ambiguous shadow verdict: split the estimate, widen both sides.
+            conflict.est += 0.5 * weight
+            conflict.hi += weight
+            capacity.est += 0.5 * weight
+            capacity.hi += weight
+        if per_loop is not None:
+            entry = per_loop.setdefault(
+                names[j], {"replacement_predicted": 0.0, "refs": 0.0}
+            )
+            entry["replacement_predicted"] += weight
 
 
 def _cold_estimate(
@@ -1545,7 +1602,6 @@ def _cold_estimate(
     realizable footprint.
     """
     hi = 0.0
-    line = config.l2.line_size
     for phase in program.phases:
         if phase.miss_variation <= 0.0:
             continue
@@ -1567,7 +1623,6 @@ def _cold_estimate(
             for cpu in range(num_cpus):
                 grown += max(0, len(large[cpu]) - len(small[cpu]))
         hi += float(phase.occurrences) * grown
-        _ = line
     return MissEstimate(predicted=hi / 2.0, lo=0.0, hi=hi)
 
 
@@ -1625,15 +1680,12 @@ def predict_program(
         init_jitter=init_jitter,
     )
     image = program_image(program, layout, config, cpus, prof, occurrence=1)
-    verification = verify_plan(image, plan)
+    groups = [_group_sets(image, plan, cpu) for cpu in range(cpus)]
+    verification = _verify_sets(image, groups)
 
     writers = _shared_written_lines(image)
-    acc_conflict = _KindAcc()
-    acc_capacity = _KindAcc()
-    acc_sharing = _KindAcc()
-    hi_conflict = _KindAcc()
-    hi_capacity = _KindAcc()
-    hi_sharing = _KindAcc()
+    estimate: _Tally = (_KindAcc(), _KindAcc(), _KindAcc())
+    ceiling: _Tally = (_KindAcc(), _KindAcc(), _KindAcc())
     per_loop: dict[tuple[str, str], dict[str, float]] = {}
     for loop_image in image.loops:
         for cpu in range(cpus):
@@ -1646,13 +1698,10 @@ def predict_program(
             )
     for cpu in range(cpus):
         _simulate_cpu_sets(
-            image, plan, cpu, writers, True,
-            acc_conflict, acc_capacity, acc_sharing, per_loop,
+            image, groups[cpu], cpu, writers, estimate, ceiling, per_loop
         )
-        _simulate_cpu_sets(
-            image, plan, cpu, writers, False,
-            hi_conflict, hi_capacity, hi_sharing, None,
-        )
+    acc_conflict, acc_capacity, acc_sharing = estimate
+    hi_conflict, hi_capacity, hi_sharing = ceiling
 
     # Interval assembly: the gated simulation is the estimate, the ungated
     # one the ceiling.  Stream interleaving can split one symbolic line

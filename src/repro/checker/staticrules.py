@@ -23,8 +23,9 @@ Each rule emits at most one diagnostic per report (the worst instance),
 keeping reports scale-invariant: shrinking the machine and workload by
 the same factor preserves the *set* of findings even as witness counts
 change.  These rules only run when :attr:`LintContext.static` is set —
-building the program image costs ~100ms per workload, which the engine's
-default per-run lint gate must not pay.
+building the program image is about 15% of a static prediction's time
+(see docs/static_analysis.md), which the engine's default per-run lint
+gate must not pay.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.compiler.ir import LoopKind, Program
 from repro.compiler.padding import layout_arrays
@@ -552,13 +552,11 @@ class _Simulation:
         self._honor_base_requests = 0
         self._honor_base_honored = 0
         self._honor_ref_rate: Optional[float] = None
-        # Per-fault adaptive watchdog hook for the chunk hot loop (None
-        # keeps the fault path free of the check entirely).
-        self._fault_watch = (
-            self._watchdog_fault_hook
-            if (options.adaptive_cdpc and options.cdpc
-                and options.hint_watchdog is not None)
-            else None
+        # Whether the chunk hot loop runs the per-fault adaptive watchdog
+        # (see _fault_hook).
+        self._watch_faults = (
+            options.adaptive_cdpc and options.cdpc
+            and options.hint_watchdog is not None
         )
         self._trace_cache = default_trace_cache() if options.trace_cache else None
         # Fast-path kernel selection and the optional sampling layer.
@@ -809,6 +807,15 @@ class _Simulation:
             {"hint_honor_rate": round(rate, 4), "threshold": threshold,
              "hint_requests": physmem.hint_requests},
         )
+
+    def _fault_hook(self) -> Optional[Callable[[], None]]:
+        """The per-fault watchdog hook for one chunk loop, or None.
+
+        None keeps the fault path free of the check entirely.  The bound
+        method is handed out per call, never stored on the simulation: a
+        stored one would hold the simulation in a reference cycle.
+        """
+        return self._watchdog_fault_hook if self._watch_faults else None
 
     def _watchdog_fault_hook(self) -> None:
         """Intra-phase adaptive watchdog, run after every hinted fault.
@@ -1210,7 +1217,7 @@ class _Simulation:
             for cpu in range(self.num_cpus):
                 runner = self._runner_factory(
                     self.ms, self.vm, self.page_cache, cpu, streams[cpu],
-                    fault_watch=self._fault_watch,
+                    fault_watch=self._fault_hook(),
                 )
                 next(runner)
                 runners.append(runner)
@@ -1325,7 +1332,7 @@ class _Simulation:
         if self.options.fast_path:
             runner = self._runner_factory(self.ms, self.vm, self.page_cache,
                                           cpu, stream,
-                                          fault_watch=self._fault_watch)
+                                          fault_watch=self._fault_hook())
             next(runner)
             sampler = self._sampler
             if sampler is None:
@@ -1526,7 +1533,7 @@ class _Simulation:
             concurrent if self.injector is None
             else self.injector.fault_concurrency(concurrent)
         )
-        fault_watch = self._fault_watch
+        fault_watch = self._fault_hook()
 
         index = start
         while index < end:

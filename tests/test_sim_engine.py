@@ -249,18 +249,29 @@ class TestRunBenchmark:
 
     def test_finished_run_leaves_no_cyclic_garbage(self):
         # A run is freed by reference counting alone: nothing it builds
-        # (reclaim hooks included) may wait for the cycle collector.
+        # (reclaim hooks and the adaptive-CDPC fault watchdog included)
+        # may wait for the cycle collector.
         import gc
 
         from repro.machine.config import sgi_base
 
         config = sgi_base(2).scaled(16)
-        options = EngineOptions(profile=SimProfile.fast(), reclaim=True)
-        run_benchmark("tomcatv", config, options)  # warm lazy imports
-        gc.collect()
-        gc.disable()
-        try:
-            run_benchmark("tomcatv", config, options)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        fast = SimProfile.fast()
+        cases = [
+            ("tomcatv", EngineOptions(profile=fast, reclaim=True)),
+            (
+                "fpppp",
+                EngineOptions(
+                    profile=fast, cdpc=True, adaptive_cdpc=True, hint_watchdog=0.5
+                ),
+            ),
+        ]
+        for name, options in cases:
+            run_benchmark(name, config, options)  # warm lazy imports
+            gc.collect()
+            gc.disable()
+            try:
+                run_benchmark(name, config, options)
+                assert gc.collect() == 0, name
+            finally:
+                gc.enable()

@@ -16,13 +16,19 @@ must coincide with :func:`verify_plan`'s witness list.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checker.staticmiss import (
+    _WITNESS_CAP,
     Progression,
     StaticPlan,
+    _group_sets,
+    _KindAcc,
+    _shared_written_lines,
+    _simulate_cpu_sets,
     loop_line_touches,
     program_image,
     verify_plan,
@@ -42,16 +48,23 @@ from repro.compiler.ir import (
 from repro.compiler.padding import layout_arrays
 from repro.compiler.parallelize import schedule_loop
 from repro.machine.config import CacheConfig, MachineConfig
-from repro.sim.tracegen import FLAG_INSTR, FLAG_WRITE, SimProfile, loop_traces
+from repro.sim.tracegen import (
+    FLAG_INSTR,
+    FLAG_WRITE,
+    INSTRUCTION_BASE,
+    SimProfile,
+    _access_stream,
+    loop_traces,
+)
 
 
-def machine(num_cpus: int) -> MachineConfig:
+def machine(num_cpus: int, l2_assoc: int = 1) -> MachineConfig:
     return MachineConfig(
         num_cpus=num_cpus,
         page_size=256,
         l1d=CacheConfig(512, 64, 2),
         l1i=CacheConfig(512, 64, 2),
-        l2=CacheConfig(4096, 64, 1),
+        l2=CacheConfig(4096, 64, l2_assoc),
     )
 
 
@@ -127,6 +140,40 @@ def build_program(seed: int) -> tuple[Program, MachineConfig]:
 # Brute-force ground truth from the trace generator
 
 
+def brute_force_passes(loop, schedule, layout, config, profile):
+    """Per-CPU line -> [visits, streams] by enumerating each stream pass by pass.
+
+    Every access is one stream.  A stream's addresses are its untiled pass
+    repeated, then a fractional prefix of it, which counts as one more
+    pass; a line gets one visit per pass that touches it and one stream
+    per stream that touches it.
+    """
+    line = config.l2.line_size
+    active = range(schedule.num_cpus) if loop.kind is LoopKind.PARALLEL else [0]
+    per_cpu: list[dict[int, list[int]]] = []
+    for cpu in range(schedule.num_cpus):
+        counts: dict[int, list[int]] = {}
+        per_cpu.append(counts)
+        if cpu not in active:
+            continue
+        for access in loop.accesses:
+            addrs = _access_stream(access, layout, schedule, cpu, config, profile)[0]
+            if len(addrs) == 0:
+                continue
+            # Boundary strips are generated untiled; the rest tile one pass.
+            one = access if isinstance(access, BoundaryAccess) else replace(access, sweeps=1.0)
+            width = len(_access_stream(one, layout, schedule, cpu, config, profile)[0])
+            stream_lines: set[int] = set()
+            for begin in range(0, len(addrs), width):
+                pass_lines = {(a // line) * line for a in addrs[begin : begin + width].tolist()}
+                for laddr in pass_lines:
+                    counts.setdefault(laddr, [0, 0])[0] += 1
+                stream_lines |= pass_lines
+            for laddr in stream_lines:
+                counts[laddr][1] += 1
+    return per_cpu
+
+
 def brute_force_lines(loop, schedule, layout, config, profile):
     """Per-CPU line -> (refs, written, instr) by enumerating every address."""
     line = config.l2.line_size
@@ -159,6 +206,7 @@ def test_symbolic_lines_match_enumerated_traces(seed):
                 loop, schedule, layout, config, profile
             )
             brute = brute_force_lines(loop, schedule, layout, config, profile)
+            passes = brute_force_passes(loop, schedule, layout, config, profile)
             for cpu in range(config.num_cpus):
                 assert set(symbolic[cpu]) == set(brute[cpu])
                 for laddr, touch in symbolic[cpu].items():
@@ -167,17 +215,78 @@ def test_symbolic_lines_match_enumerated_traces(seed):
                     assert touch.written == written
                     assert touch.instr == instr
                     assert 1 <= touch.visits <= touch.refs
+                    visits, streams = passes[cpu][laddr]
+                    assert touch.visits == visits, (loop.name, cpu, laddr)
+                    assert touch.streams == streams, (loop.name, cpu, laddr)
+
+
+def skewed_plan(layout, config, rng) -> StaticPlan:
+    """A random plan of the data pages over few colors, so overflows happen."""
+    all_pages = set()
+    for name in layout.bases:
+        all_pages.update(layout.pages(name, config.page_size))
+    return StaticPlan(
+        policy="random",
+        num_colors=config.num_colors,
+        colors={
+            vpage: rng.randrange(min(3, config.num_colors)) for vpage in all_pages
+        },
+    )
+
+
+def expected_witnesses(scopes, plan, layout, config):
+    """The witness list ``verify_plan`` must report, by brute force.
+
+    ``scopes`` is ``[(cpu, phase, loop, bins)]`` in CPU-major, loop order,
+    with ``bins[(color, line_index)]`` the set of pages touching the bin.
+    Overflowing bins rank by ``(-excess, cpu, color, line_index)``; the
+    sort is stable, so ties keep their CPU and loop order.
+    """
+    psz = config.page_size
+    assoc = config.l2.associativity
+    found = []
+    for cpu, phase, loop, bins in scopes:
+        for (color, k), pages in bins.items():
+            if len(pages) <= assoc:
+                continue
+            arrays: list[str] = []
+            for vpage in sorted(pages):
+                if vpage * psz >= INSTRUCTION_BASE:
+                    name = "instructions"
+                else:
+                    name = layout.array_at(vpage * psz) or "other"
+                if name not in arrays:
+                    arrays.append(name)
+            found.append(
+                {
+                    "cpu": cpu,
+                    "color": color,
+                    "line_index": k,
+                    "pages": sorted(pages),
+                    "arrays": arrays,
+                    "excess": len(pages) - assoc,
+                    "phase": phase,
+                    "loop": loop,
+                }
+            )
+    found.sort(key=lambda w: (-w["excess"], w["cpu"], w["color"], w["line_index"]))
+    return found[:_WITNESS_CAP]
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
+# Seeds whose cycle-wide and per-loop overflows both exceed the cap.
+@example(seed=362)
+@example(seed=386)
 def test_verifier_matches_brute_force_page_enumeration(seed):
     """verify_plan's overflow bins == enumerating pages from real traces.
 
     A random (deliberately skewed) color plan is applied to both sides:
     the verifier works from progressions, the oracle from the materialized
     address stream; the sets of overflowing (cpu, color, line-index) bins
-    and their page populations must be identical.
+    and their page populations must be identical.  Both witness lists,
+    cycle-wide and per (cpu, loop), must be exactly the first
+    ``_WITNESS_CAP`` overflowing bins in rank order, arrays included.
     """
     program, config = build_program(seed)
     rng = random.Random(seed + 1)
@@ -191,25 +300,19 @@ def test_verifier_matches_brute_force_page_enumeration(seed):
 
     psz = config.page_size
     line = config.l2.line_size
-    num_colors = config.num_colors
     assoc = config.l2.associativity
-    all_pages = set()
-    for name in layout.bases:
-        all_pages.update(layout.pages(name, psz))
     # Skewed random plan: few colors, so overflows actually happen.
-    plan = StaticPlan(
-        policy="random",
-        num_colors=num_colors,
-        colors={
-            vpage: rng.randrange(min(3, num_colors)) for vpage in all_pages
-        },
-    )
+    plan = skewed_plan(layout, config, rng)
 
     verification = verify_plan(image, plan)
 
-    # Oracle: cycle-wide per-CPU occupancy from enumerated addresses.
+    # Oracle: per-(CPU, loop) occupancy from enumerated addresses; the
+    # cycle-wide bins are their union.
     oracle: dict[int, dict[tuple[int, int], set[int]]] = {
         cpu: {} for cpu in range(config.num_cpus)
+    }
+    loop_bins: dict[int, list[tuple[str, str, dict]]] = {
+        cpu: [] for cpu in range(config.num_cpus)
     }
     for phase in program.phases:
         for loop in phase.loops:
@@ -217,12 +320,15 @@ def test_verifier_matches_brute_force_page_enumeration(seed):
             traces = loop_traces(loop, schedule, layout, config, profile)
             for cpu, trace in enumerate(traces):
                 bins = oracle[cpu]
+                scoped: dict[tuple[int, int], set[int]] = {}
                 for addr in trace.addrs.tolist():
                     laddr = (addr // line) * line
                     vpage = laddr // psz
                     k = (laddr % psz) // line
                     color = plan.color_of(vpage)
                     bins.setdefault((color, k), set()).add(vpage)
+                    scoped.setdefault((color, k), set()).add(vpage)
+                loop_bins[cpu].append((phase.name, loop.name, scoped))
     expected = {
         (cpu, color, k): frozenset(pages)
         for cpu, bins in oracle.items()
@@ -243,6 +349,221 @@ def test_verifier_matches_brute_force_page_enumeration(seed):
         default=0,
     )
     assert verification.max_occupancy == max_occ
+    cycle_scopes = [(cpu, None, None, bins) for cpu, bins in oracle.items()]
+    assert [w.to_dict() for w in verification.witnesses] == expected_witnesses(
+        cycle_scopes, plan, layout, config
+    )
+    loop_scopes = [
+        (cpu, phase, loop, bins)
+        for cpu in range(config.num_cpus)
+        for phase, loop, bins in loop_bins[cpu]
+    ]
+    assert [w.to_dict() for w in verification.loop_witnesses] == expected_witnesses(
+        loop_scopes, plan, layout, config
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference model for the per-set miss simulation
+#
+# The predictor's set simulation as it stood before it learned to group
+# each processor's sets once and replay a set once for both tallies:
+# every call regroups the lines and replays every set, gated (the
+# estimate, which also fills ``per_loop``) or ungated (the ceiling).
+
+
+class RefAcc:
+    def __init__(self) -> None:
+        self.est = 0.0
+        self.hi = 0.0
+
+
+def reference_simulate_cpu_sets(
+    image, plan, cpu, writers, gated, acc_conflict, acc_capacity, acc_sharing, per_loop
+):
+    config = image.config
+    psz = config.page_size
+    line = config.l2.line_size
+    lpp = psz // line
+    assoc = config.l2.associativity
+    shadow_cap = config.l2.num_lines
+
+    l1d_sets = config.l1d.num_sets
+    l1i_sets = config.l1i.num_sets
+    l1d_pressure: dict[int, set[int]] = {}
+    l1i_pressure: dict[int, set[int]] = {}
+    loop_distinct: list[int] = []
+    for loop_image in image.loops:
+        lines_map = loop_image.lines[cpu]
+        loop_distinct.append(len(lines_map))
+        for laddr, touch in lines_map.items():
+            if touch.instr:
+                l1i_pressure.setdefault((laddr // line) % l1i_sets, set()).add(laddr)
+            else:
+                l1d_pressure.setdefault((laddr // line) % l1d_sets, set()).add(laddr)
+
+    def is_active(laddr, instr):
+        if not gated:
+            return True
+        if instr:
+            occupancy = l1i_pressure.get((laddr // line) % l1i_sets)
+            limit = config.l1i.associativity
+        else:
+            occupancy = l1d_pressure.get((laddr // line) % l1d_sets)
+            limit = config.l1d.associativity
+        return occupancy is not None and len(occupancy) > limit
+
+    n_loops = len(image.loops)
+    prefix = [0] * (2 * n_loops + 1)
+    for j in range(2 * n_loops):
+        prefix[j + 1] = prefix[j] + loop_distinct[j % n_loops]
+
+    sets: dict[int, list[tuple[int, list]]] = {}
+    for j, loop_image in enumerate(image.loops):
+        events_for_loop: dict[int, tuple[int, list]] = {}
+        for laddr, touch in loop_image.lines[cpu].items():
+            vpage = laddr // psz
+            sid = plan.color_of(vpage) * lpp + (laddr % psz) // line
+            event = events_for_loop.get(sid)
+            if event is None:
+                event = (j, [])
+                events_for_loop[sid] = event
+                sets.setdefault(sid, []).append(event)
+            other_writers = writers.get(laddr, 0) & ~(1 << cpu)
+            event[1].append((laddr, touch.visits, other_writers != 0))
+
+    weights = [loop_image.weight for loop_image in image.loops]
+    names = [(loop_image.phase, loop_image.loop) for loop_image in image.loops]
+
+    for events in sets.values():
+        resident: list[int] = []
+        last_touch: dict[int, int] = {}
+        set_lines = {laddr for _j, lines in events for (laddr, _v, _s) in lines}
+        instr_set = bool(set_lines) and all(laddr >= INSTRUCTION_BASE for laddr in set_lines)
+        contended = len(set_lines) > assoc
+        for measure in (False, True):
+            base_pos = n_loops if measure else 0
+            for j, lines in events:
+                pos = base_pos + j
+                weight = float(weights[j])
+                active_lines = [
+                    (laddr, visits, shared)
+                    for (laddr, visits, shared) in lines
+                    if visits > 0 and is_active(laddr, instr_set)
+                ]
+                if not active_lines:
+                    continue
+                max_visits = max(v for (_a, v, _s) in active_lines)
+                loop_ws = loop_distinct[j]
+                for round_index in range(max_visits):
+                    for laddr, visits, shared in active_lines:
+                        if visits <= round_index:
+                            continue
+                        hit = laddr in resident
+                        if hit:
+                            resident.remove(laddr)
+                            resident.append(laddr)
+                        else:
+                            resident.append(laddr)
+                            if len(resident) > assoc:
+                                resident.pop(0)
+                        converted = False
+                        if hit and contended:
+                            if round_index > 0:
+                                converted = True
+                            else:
+                                last = last_touch.get(laddr)
+                                if last is None or last >= pos:
+                                    converted = True
+                                else:
+                                    between = prefix[pos] - prefix[min(last + 1, pos)]
+                                    converted = between + loop_ws >= shadow_cap
+                        if measure:
+                            if shared:
+                                acc_sharing.hi += weight
+                                if not hit or contended:
+                                    acc_sharing.est += weight
+                            elif not hit or converted:
+                                reference_classify_and_add(
+                                    weight,
+                                    round_index,
+                                    last_touch.get(laddr),
+                                    pos,
+                                    prefix,
+                                    loop_ws,
+                                    shadow_cap,
+                                    acc_conflict,
+                                    acc_capacity,
+                                    per_loop,
+                                    names[j],
+                                )
+                        last_touch[laddr] = pos
+
+
+def reference_classify_and_add(
+    weight, round_index, last, pos, prefix, loop_ws, shadow_cap,
+    acc_conflict, acc_capacity, per_loop, name,
+):
+    if round_index > 0:
+        distance = float(loop_ws)
+    elif last is None or last >= pos:
+        distance = float(loop_ws)
+    else:
+        between = prefix[pos] - prefix[min(last + 1, pos)]
+        distance = float(between + loop_ws)
+    if distance <= 0.8 * shadow_cap:
+        acc_conflict.est += weight
+        acc_conflict.hi += weight
+    elif distance >= 1.8 * shadow_cap:
+        acc_capacity.est += weight
+        acc_capacity.hi += weight
+    else:
+        acc_conflict.est += 0.5 * weight
+        acc_conflict.hi += weight
+        acc_capacity.est += 0.5 * weight
+        acc_capacity.hi += weight
+    if per_loop is not None:
+        entry = per_loop.setdefault(name, {"replacement_predicted": 0.0, "refs": 0.0})
+        entry["replacement_predicted"] += weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_set_simulation_matches_two_call_reference(seed):
+    """One grouping and one replay per agreeing set == two full calls.
+
+    At every associativity the predictor's estimate, ceiling and per-loop
+    accumulators must equal the reference's exactly.  The benchmark's
+    machines all have direct-mapped external caches, so this is what
+    covers replays of sets holding several lines.
+    """
+    program, base = build_program(seed)
+    layout = layout_arrays(program.arrays, base.l2.line_size, base.l1d.size)
+    for assoc in (1, 2, 4):
+        config = machine(base.num_cpus, assoc)
+        image = program_image(program, layout, config, config.num_cpus, SimProfile())
+        plan = skewed_plan(layout, config, random.Random(seed + assoc))
+        writers = _shared_written_lines(image)
+        estimate = (_KindAcc(), _KindAcc(), _KindAcc())
+        ceiling = (_KindAcc(), _KindAcc(), _KindAcc())
+        per_loop: dict = {}
+        ref_estimate = (RefAcc(), RefAcc(), RefAcc())
+        ref_ceiling = (RefAcc(), RefAcc(), RefAcc())
+        ref_per_loop: dict = {}
+        for cpu in range(config.num_cpus):
+            _simulate_cpu_sets(
+                image, _group_sets(image, plan, cpu), cpu, writers,
+                estimate, ceiling, per_loop,
+            )
+            reference_simulate_cpu_sets(
+                image, plan, cpu, writers, True, *ref_estimate, ref_per_loop
+            )
+            reference_simulate_cpu_sets(
+                image, plan, cpu, writers, False, *ref_ceiling, None
+            )
+        for got, want in zip(estimate + ceiling, ref_estimate + ref_ceiling):
+            assert (got.est, got.hi) == (want.est, want.hi), assoc
+        assert per_loop == ref_per_loop, assoc
 
 
 @settings(max_examples=50, deadline=None)
