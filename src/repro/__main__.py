@@ -82,7 +82,6 @@ def _options_for(policy_label: str, args) -> EngineOptions:
         aligned=not args.unaligned,
         profile=SimProfile.fast() if args.fast else SimProfile(),
         obs=_obs_config(args),
-        sampling=getattr(args, "sampling", None),
         static_check=getattr(args, "static_check", False),
     )
 
@@ -445,7 +444,6 @@ def _cmd_sweep_geometries(args) -> int:
         aligned=not args.unaligned,
         profile=SimProfile.fast() if args.fast else SimProfile(),
         obs=_obs_config(args),
-        sampling=getattr(args, "sampling", None),
     )
     try:
         comparison = compare_geometries(
@@ -814,7 +812,6 @@ def cmd_bench(args) -> int:
     write_bench(payload, args.output)
     ref = payload["reference"]
     fast = payload["fast"]
-    sampled = payload["sampled"]
     print(
         render_table(
             ["leg", "wall s", "refs/s", "workers"],
@@ -825,23 +822,12 @@ def cmd_bench(args) -> int:
                  int(fast["cold"]["refs_per_sec"]), fast["max_workers"]],
                 ["fast (warm)", round(fast["warm"]["wall_s"], 3),
                  int(fast["warm"]["refs_per_sec"]), fast["max_workers"]],
-                ["sampled", round(sampled["wall_s"], 3),
-                 int(sampled["refs_per_sec"]), sampled["max_workers"]],
             ],
         )
     )
     print(
         f"\nspeedup: {payload['speedup']:.2f}x cold, "
-        f"{payload['speedup_warm']:.2f}x warm, "
-        f"{payload['speedup_sampled']:.2f}x sampled  ({args.output})"
-    )
-    print(
-        f"sampled accuracy: max MCPI error "
-        f"{sampled['mcpi_max_rel_error']:.1%}, mean "
-        f"{sampled['mcpi_mean_rel_error']:.1%}, "
-        + ("all runs within their error bounds"
-           if sampled["within_bound"]
-           else f"BOUND VIOLATIONS: {', '.join(sampled['bound_violations'])}")
+        f"{payload['speedup_warm']:.2f}x warm  ({args.output})"
     )
     counters = fast.get("campaign", {})
     if counters.get("retries") or counters.get("pool_restarts"):
@@ -872,22 +858,6 @@ def cmd_bench(args) -> int:
         status = 1
     else:
         print("fast path bit-identical to reference on every run")
-    if args.max_sampled_error is not None:
-        if sampled["mcpi_max_rel_error"] > args.max_sampled_error:
-            print(
-                f"repro bench: sampled MCPI error "
-                f"{sampled['mcpi_max_rel_error']:.1%} exceeds "
-                f"--max-sampled-error {args.max_sampled_error:.1%}",
-                file=sys.stderr,
-            )
-            status = 1
-        if not sampled["within_bound"]:
-            print(
-                "repro bench: sampled miss totals escaped their error "
-                "bounds: " + ", ".join(sampled["bound_violations"]),
-                file=sys.stderr,
-            )
-            status = 1
     return status
 
 
@@ -1124,12 +1094,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--unaligned", action="store_true")
         p.add_argument("--fast", action="store_true",
                        help="single-sweep fast simulation profile")
-        p.add_argument(
-            "--sampling", default=None, choices=["access_vector"],
-            help="approximate sampled simulation: cluster trace windows "
-            "by access-vector signature and replay representatives "
-            "(reports an error bound; results are not bit-exact)",
-        )
         p.add_argument("--json", action="store_true",
                        help="emit the result as JSON instead of a table")
 
@@ -1347,11 +1311,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--output", default="BENCH_engine.json",
         help="where to write the JSON report (default: BENCH_engine.json)",
-    )
-    bench_parser.add_argument(
-        "--max-sampled-error", type=float, default=None, metavar="FRAC",
-        help="fail (exit 1) if the sampled leg's maximum relative MCPI "
-        "error against the oracle exceeds this fraction (e.g. 0.05)",
     )
 
     scenario_parser = sub.add_parser(

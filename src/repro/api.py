@@ -14,12 +14,8 @@ every operation on it:
     sweep = session.sweep()              # policy comparison
     bench = session.bench(["tomcatv"])   # engine benchmark
 
-Canonical keyword names are the :class:`EngineOptions` field names plus
-``workers`` for pool sizing.  The legacy spellings (``max_workers``,
-``fast``, ``unaligned``) are still accepted everywhere a session takes
-keywords, but emit :class:`DeprecationWarning` and will be removed; CI
-runs the repo's own callers with ``-W error::DeprecationWarning`` so
-internal code cannot regress onto them.
+Keyword names are the :class:`EngineOptions` field names plus
+``workers`` for pool sizing; any other keyword raises ``TypeError``.
 
 ``run_program`` / ``run_benchmark`` remain as thin delegates for
 existing callers and scripts.
@@ -27,7 +23,6 @@ existing callers and scripts.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Any, Optional, Sequence, Union
 
@@ -38,47 +33,21 @@ from repro.obs import ObsConfig
 from repro.sim import engine as _engine
 from repro.sim.engine import EngineOptions
 from repro.sim.results import RunResult
-from repro.sim.tracegen import SimProfile
 
 __all__ = [
     "Session",
-    "canonicalize_kwargs",
     "run_benchmark",
     "run_program",
 ]
 
-#: Legacy keyword → (canonical keyword, mapper).  The mapper converts the
-#: old value into the canonical one.
-_DEPRECATED_KWARGS = {
-    "max_workers": ("workers", lambda value: value),
-    "fast": ("profile", lambda value: SimProfile.fast() if value else SimProfile()),
-    "unaligned": ("aligned", lambda value: not value),
-}
-
-
-def canonicalize_kwargs(kwargs: dict) -> dict:
-    """Map legacy keyword spellings onto their canonical names.
-
-    Emits one :class:`DeprecationWarning` per legacy keyword used.
-    Passing a legacy keyword together with its canonical replacement is
-    ambiguous and raises ``TypeError``.
-    """
-    out = dict(kwargs)
-    for old, (new, mapper) in _DEPRECATED_KWARGS.items():
-        if old not in out:
-            continue
-        if new in out:
-            raise TypeError(f"got both {old!r} (deprecated) and {new!r}")
-        warnings.warn(
-            f"keyword {old!r} is deprecated; use {new!r}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        out[new] = mapper(out.pop(old))
-    return out
-
-
 _OPTION_FIELDS = frozenset(EngineOptions.__dataclass_fields__)
+
+
+def _check_option_names(overrides: dict) -> None:
+    """Reject keywords that are not :class:`EngineOptions` fields."""
+    unknown = sorted(set(overrides) - _OPTION_FIELDS)
+    if unknown:
+        raise TypeError(f"unknown engine option(s): {', '.join(unknown)}")
 
 
 def _is_scenario(value: Any) -> bool:
@@ -105,9 +74,8 @@ class Session:
     ``scale``; ``machine`` selects any preset geometry by name instead
     (see :data:`repro.machine.MACHINE_PRESETS` — e.g. ``"sliced_llc_8x"``
     or ``"three_level"``).  Remaining keywords are :class:`EngineOptions`
-    fields (canonical names; legacy spellings accepted with a deprecation
-    warning), plus ``obs=True`` as shorthand for a default
-    :class:`repro.obs.ObsConfig`.
+    fields, plus ``obs=True`` as shorthand for a default
+    :class:`repro.obs.ObsConfig`; any other keyword raises ``TypeError``.
     """
 
     def __init__(
@@ -141,14 +109,11 @@ class Session:
         self.config = (
             config if config is not None else sgi_base(num_cpus=cpus).scaled(scale)
         )
-        overrides = canonicalize_kwargs(overrides)
         if isinstance(obs, bool):
             obs = ObsConfig() if obs else None
         if obs is not None:
             overrides.setdefault("obs", obs)
-        unknown = sorted(set(overrides) - _OPTION_FIELDS)
-        if unknown:
-            raise TypeError(f"unknown engine option(s): {', '.join(unknown)}")
+        _check_option_names(overrides)
         base = options if options is not None else EngineOptions()
         self.options = replace(base, **overrides) if overrides else base
         #: The full fault-tolerance outcome of the most recent
@@ -162,7 +127,7 @@ class Session:
 
     def with_options(self, **overrides: Any) -> "Session":
         """A new session sharing this one's target but altered options."""
-        overrides = canonicalize_kwargs(overrides)
+        _check_option_names(overrides)
         return Session(
             self.workload,
             program=self.program,
@@ -173,15 +138,12 @@ class Session:
     def run(self, **overrides: Any) -> RunResult:
         """Simulate the session's workload once; returns the run result.
 
-        Pass ``sampling="access_vector"`` to trade exactness for time on
-        long traces: repeated trace windows are clustered by access
-        vector and replayed from a measured representative, and the
-        result's ``sampling`` report carries the estimated miss total
-        with an explicit error bound (see docs/performance.md).
+        Keywords override :class:`EngineOptions` fields for this run only.
         """
         options = self.options
         if overrides:
-            options = replace(options, **canonicalize_kwargs(overrides))
+            _check_option_names(overrides)
+            options = replace(options, **overrides)
         if self.program is not None:
             return _engine.run_program(self.program, self.config, options)
         assert self.workload is not None
@@ -226,7 +188,6 @@ class Session:
                     f"standard labels are {', '.join(STANDARD_POLICIES)}"
                 )
             policies = {label: STANDARD_POLICIES[label] for label in policies}
-        kwargs = canonicalize_kwargs(kwargs)
         workers = kwargs.pop("workers", None)
         if kwargs:
             raise TypeError(f"unknown sweep option(s): {', '.join(sorted(kwargs))}")
@@ -260,7 +221,6 @@ class Session:
             # The session names the subject workload; the spec's default
             # must not silently override it.
             spec = dc_replace(spec, workload=self.workload)
-        kwargs = canonicalize_kwargs(kwargs)
         workers = kwargs.pop("workers", None)
         if kwargs:
             raise TypeError(f"unknown sweep option(s): {', '.join(sorted(kwargs))}")
@@ -294,11 +254,10 @@ class Session:
         campaign: Optional[CampaignOptions] = None,
         **kwargs: Any,
     ) -> dict:
-        """Run the two-leg engine benchmark; returns the report payload."""
+        """Run the engine benchmark; returns the report payload."""
         from repro.sim.bench import run_bench
         from repro.workloads import WORKLOAD_NAMES
 
-        kwargs = canonicalize_kwargs(kwargs)
         workers = kwargs.pop("workers", None)
         if kwargs:
             raise TypeError(f"unknown bench option(s): {', '.join(sorted(kwargs))}")

@@ -38,45 +38,6 @@ def add_scaled_stats(dst: MachineStats, src: MachineStats, weight: float) -> Non
         add_scaled_cpu_stats(dst_cpu, src_cpu, weight)
 
 
-def copy_cpu_stats(src: CpuStats) -> CpuStats:
-    """Deep snapshot of one processor's counters.
-
-    Used by the access-vector sampler to snapshot a CPU's statistics at a
-    window boundary; :func:`subtract_cpu_stats` against a later snapshot
-    yields the window's delta.
-    """
-    snap = CpuStats()
-    add_scaled_cpu_stats(snap, src, 1.0)
-    return snap
-
-
-def subtract_cpu_stats(a: CpuStats, b: CpuStats) -> CpuStats:
-    """Per-field difference ``a - b`` (``b`` is an earlier snapshot)."""
-    delta = CpuStats()
-    delta.instructions = a.instructions - b.instructions
-    delta.l1d_hits = a.l1d_hits - b.l1d_hits
-    delta.l1d_misses = a.l1d_misses - b.l1d_misses
-    delta.l1i_hits = a.l1i_hits - b.l1i_hits
-    delta.l1i_misses = a.l1i_misses - b.l1i_misses
-    delta.l2_hits = a.l2_hits - b.l2_hits
-    delta.tlb_misses = a.tlb_misses - b.tlb_misses
-    delta.prefetches_issued = a.prefetches_issued - b.prefetches_issued
-    delta.prefetches_dropped_tlb = (
-        a.prefetches_dropped_tlb - b.prefetches_dropped_tlb
-    )
-    delta.prefetches_useful = a.prefetches_useful - b.prefetches_useful
-    delta.prefetch_stalls = a.prefetch_stalls - b.prefetch_stalls
-    delta.prefetch_stall_ns = a.prefetch_stall_ns - b.prefetch_stall_ns
-    delta.l1_stall_ns = a.l1_stall_ns - b.l1_stall_ns
-    delta.busy_ns = a.busy_ns - b.busy_ns
-    for kind in MissKind:
-        delta.l2_misses[kind] = a.l2_misses[kind] - b.l2_misses[kind]
-        delta.l2_stall_ns[kind] = a.l2_stall_ns[kind] - b.l2_stall_ns[kind]
-    for name in OVERHEAD_CATEGORIES:
-        delta.overhead_ns[name] = a.overhead_ns[name] - b.overhead_ns[name]
-    return delta
-
-
 @dataclass
 class PhaseResult:
     """Raw (unweighted) measurements for one phase execution."""
@@ -120,11 +81,6 @@ class RunResult:
     #: ``to_dict`` is the bit-identity contract between the fast and
     #: reference engine paths.
     obs: Optional[dict] = None
-    #: Sampled-simulation report (window/cluster counts, extrapolated miss
-    #: total and its error bound) when the run used
-    #: ``EngineOptions.sampling``; ``None`` for exact runs.  Exact runs
-    #: therefore keep ``to_dict()`` bit-identical across engine paths.
-    sampling: Optional[dict] = None
     #: The symbolic :class:`repro.checker.StaticMissProfile` this run was
     #: cross-validated against when ``EngineOptions.static_check`` was on;
     #: ``None`` otherwise.  Excluded from :meth:`to_dict` (it carries
@@ -241,7 +197,9 @@ class RunResult:
                  "wall_ns": p.wall_ns}
                 for p in self.phases
             ],
-            "sampling": self.sampling,
+            # Always null (no sampled mode); the key stays so serialized
+            # results, and digests taken over them, stay byte-identical.
+            "sampling": None,
         }
 
     def label(self) -> str:

@@ -1,4 +1,4 @@
-"""Representative execution windows (Section 3.2) and sampling plans.
+"""Representative execution windows (Section 3.2).
 
 Full SPEC95fp runs are far too long to simulate in detail, so the paper
 simulates a *representative execution window*: a slice of the steady state
@@ -7,19 +7,6 @@ the phase's occurrence count in the full steady state, and the first
 (cold) execution of each phase discarded.  This module provides that
 windowing plus the variation check used to validate that phases behave
 consistently across occurrences.
-
-It also provides the *access-vector sampling plan* behind
-``EngineOptions.sampling="access_vector"`` — the second level of the same
-idea, in the spirit of *Memory Access Vectors* (arXiv 2506.02344).  Where
-the phase window exploits repetition *across* phase occurrences, the
-sampling plan exploits repetition *within* a reference stream: fixed-size
-trace windows are fingerprinted by a quantized per-color / per-set access
-vector, windows with equal fingerprints are clustered, and the engine
-simulates only one representative (plus one validator) per cluster,
-replaying the representative's measured statistics delta for the rest.
-:func:`occurrence_variation` — the paper's own variation statistic — is
-reused to turn the leader/validator disagreement into the reported error
-bound.
 """
 
 from __future__ import annotations
@@ -27,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.compiler.ir import Phase, Program
 
@@ -65,194 +50,6 @@ def representative_window(program: Program) -> PhaseWindow:
         measured=tuple(phases),
         weights=tuple(phase.occurrences for phase in phases),
     )
-
-
-# ----------------------------------------------------------------------
-# Access-vector sampling plans
-
-#: Roles a trace window can play in a sampling plan.
-ROLE_FORCED = 0  #: must simulate (carries slow references, or partial tail)
-ROLE_LEADER = 1  #: first window of its cluster — simulate and record delta
-ROLE_SKIP = 2  #: replay the last recorded delta instead of simulating
-ROLE_VALIDATOR = 3  #: re-simulation: refreshes the delta and contributes
-#: an independent sample to the cluster's error bound
-ROLE_WARM = 4  #: simulates to re-warm cache state after a run of skips,
-#: but its (staleness-distorted) measurements are *replaced* by the
-#: cluster's recorded delta, so only fresh-state windows enter results
-
-#: Cluster members cycle through ``REFRESH - 2`` skips, one warm window
-#: and one validator.  Skipped windows leave cache/TLB state frozen, so
-#: the first window simulated after a skip run measures distorted
-#: (stale-state) statistics; the warm window absorbs that distortion and
-#: discards its measurements, leaving the validator to measure — and
-#: re-record — the cluster delta against honestly warmed state.  Four
-#: (two skips per cycle) keeps the worst-case MCPI error under 5% on the
-#: Figure 6 workloads at 2-4 processors across all three policies;
-#: longer cycles skip more but let adaptively-recolored (CDPC) runs
-#: drift past that budget.
-REFRESH = 4
-
-#: Cache-set buckets of the access-vector fingerprint.  Coarser than the
-#: real set count on purpose: the fingerprint should match windows whose
-#: *distribution* over the cache is the same, not demand identical
-#: addresses.
-_SET_BUCKETS = 32
-#: Quantization levels for each histogram bin and for the write/instruction
-#: fractions (a 1/16 shift in any component splits the cluster).
-_QUANT = 16
-
-
-@dataclass(frozen=True)
-class WindowPlan:
-    """Sampling plan for one reference stream.
-
-    Windows are fixed-size, non-overlapping slices of ``window``
-    references.  ``clusters[w]`` is the window's access-vector cluster
-    (``-1`` for forced-simulate windows) and ``roles[w]`` one of the
-    ``ROLE_*`` constants.  Leaders always precede their cluster's skip
-    and validator windows in stream order, so by the time the engine
-    reaches a skippable window the representative's statistics delta has
-    already been measured in the same loop execution.
-    """
-
-    window: int
-    starts: tuple[int, ...]
-    ends: tuple[int, ...]
-    clusters: tuple[int, ...]
-    roles: tuple[int, ...]
-    num_clusters: int
-
-    @property
-    def num_windows(self) -> int:
-        return len(self.starts)
-
-    def skippable_windows(self) -> int:
-        return sum(1 for role in self.roles if role == ROLE_SKIP)
-
-
-def access_vector_plan(
-    trace, window: int, line_size: int, page_size: int, num_colors: int
-) -> WindowPlan:
-    """Cluster one trace's windows by quantized access-vector signature.
-
-    The signature of a window is the pair of quantized histograms of its
-    references over cache-set buckets and over page colors, plus its
-    write and instruction fractions — the per-color/per-set access
-    vector — extended with two translation-invariant shape components:
-    the quantized histogram of successive address deltas (sign and log
-    magnitude, which separates unit-stride sweeps from FFT-style strided
-    or transposed traversals) and the window's distinct-page footprint.
-    The shape components matter for multi-resolution workloads (mgrid's
-    grid levels, turb3d's transposes): their windows can have
-    near-identical color histograms while touching working sets of very
-    different sizes and strides, and clustering those together replays
-    deltas from the wrong regime.  Windows carrying slow-path references
-    (prefetch carriers, instruction writes) and the partial tail window
-    are never clustered: they always simulate, so sampling degrades to
-    exact simulation when a stream has no exploitable repetition.
-
-    The plan is memoized on the trace (keyed by window and geometry),
-    exactly like ``CpuTrace.ref_stream`` memoizes its column view, so
-    the trace cache amortizes plan construction across runs.
-    """
-    key = (window, line_size, page_size, num_colors, REFRESH)
-    cached = trace.__dict__.get("_window_plan")
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    addrs = trace.addrs
-    flags = trace.flags
-    n = len(addrs)
-    writes = (flags & 1) != 0
-    instr = (flags & 2) != 0
-    slow = writes & instr
-    if trace.prefetch is not None:
-        slow = slow | (trace.prefetch != 0)
-    set_bucket = (addrs // line_size) % _SET_BUCKETS
-    color_buckets = max(1, min(num_colors, _SET_BUCKETS))
-    color_bucket = (addrs // page_size) % color_buckets
-
-    starts: list[int] = []
-    ends: list[int] = []
-    clusters: list[int] = []
-    roles: list[int] = []
-    by_signature: dict[tuple, int] = {}
-    member_counts: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    for s in range(0, n, window):
-        e = min(s + window, n)
-        starts.append(s)
-        ends.append(e)
-        if e - s < window or bool(slow[s:e].any()):
-            clusters.append(-1)
-            roles.append(ROLE_FORCED)
-            continue
-        span = e - s
-        set_hist = np.bincount(set_bucket[s:e], minlength=_SET_BUCKETS)
-        color_hist = np.bincount(color_bucket[s:e], minlength=color_buckets)
-        diffs = np.diff(addrs[s:e])
-        magnitude = np.minimum(
-            np.log2(np.abs(diffs) + 1).astype(np.int64), 15
-        )
-        delta_hist = np.bincount(
-            np.where(diffs < 0, magnitude + 16, magnitude), minlength=32
-        )
-        signature = (
-            tuple((set_hist * _QUANT // span).tolist()),
-            tuple((color_hist * _QUANT // span).tolist()),
-            tuple((delta_hist * _QUANT // max(1, span - 1)).tolist()),
-            int(np.unique(addrs[s:e] // page_size).size),
-            int(writes[s:e].sum()) * _QUANT // span,
-            int(instr[s:e].sum()) * _QUANT // span,
-        )
-        cid = by_signature.setdefault(signature, len(by_signature))
-        member = member_counts.get(cid, 0)
-        member_counts[cid] = member + 1
-        clusters.append(cid)
-        members.setdefault(cid, []).append(len(roles))
-        if member == 0:
-            roles.append(ROLE_LEADER)
-        else:
-            beat = (member - 1) % REFRESH
-            if beat < REFRESH - 2:
-                roles.append(ROLE_SKIP)
-            elif beat == REFRESH - 2:
-                roles.append(ROLE_WARM)
-            else:
-                roles.append(ROLE_VALIDATOR)
-    # Every replaying cluster must *end* with a fresh check: a cluster
-    # whose last members are skips (or a warm window, whose measurement
-    # is discarded) would replay into the run total with no chance to
-    # detect that the stream drifted away from the recorded delta — the
-    # failure mode of turb3d's transpose phases, where the last windows
-    # of a cluster belong to a different traversal regime than the
-    # first.  Promote the final member to a validator, preceded by a
-    # warm window when it would otherwise measure stale (post-replay)
-    # state.
-    for wins in members.values():
-        if len(wins) < 3:
-            continue
-        last = wins[-1]
-        if roles[last] in (ROLE_SKIP, ROLE_WARM):
-            roles[last] = ROLE_VALIDATOR
-            if roles[wins[-2]] == ROLE_SKIP:
-                roles[wins[-2]] = ROLE_WARM
-    # Forced windows keep their measurements verbatim — they are never
-    # snapshotted, substituted or bounded — so they must never run
-    # against stale (post-replay) cache state.  Re-warm first: a skip
-    # window directly ahead of a forced window becomes a warm window.
-    for w in range(1, len(roles)):
-        if roles[w] == ROLE_FORCED and roles[w - 1] == ROLE_SKIP:
-            roles[w - 1] = ROLE_WARM
-    plan = WindowPlan(
-        window=window,
-        starts=tuple(starts),
-        ends=tuple(ends),
-        clusters=tuple(clusters),
-        roles=tuple(roles),
-        num_clusters=len(by_signature),
-    )
-    trace.__dict__["_window_plan"] = (key, plan)
-    return plan
 
 
 def occurrence_variation(values: Sequence[float]) -> tuple[float, float, float]:

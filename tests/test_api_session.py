@@ -1,4 +1,4 @@
-"""Tests for the repro.api Session facade and keyword deprecation shims."""
+"""Tests for the repro.api Session facade and its keyword checks."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro import Session
-from repro.api import canonicalize_kwargs, run_benchmark, run_program
+from repro.api import run_benchmark, run_program
 from repro.machine.config import sgi_base
 from repro.sim import engine as _engine
 from repro.sim.engine import EngineOptions
@@ -56,40 +56,42 @@ class TestSessionConstruction:
         assert off.options.obs is None
 
 
-class TestDeprecationShims:
-    def test_max_workers_maps_to_workers(self):
-        with pytest.warns(DeprecationWarning, match="max_workers"):
-            out = canonicalize_kwargs({"max_workers": 3})
-        assert out == {"workers": 3}
+#: Every Session entry point that takes EngineOptions keywords.
+_OPTION_ENTRY_POINTS = {
+    "constructor": lambda config, kw: Session("tomcatv", config=config, **kw),
+    "with_options": lambda config, kw: Session(
+        "tomcatv", config=config
+    ).with_options(**kw),
+    "run": lambda config, kw: Session("tomcatv", config=config).run(**kw),
+}
 
-    def test_fast_maps_to_profile(self):
-        with pytest.warns(DeprecationWarning, match="fast"):
-            out = canonicalize_kwargs({"fast": True})
-        assert out == {"profile": SimProfile.fast()}
-        with pytest.warns(DeprecationWarning):
-            assert canonicalize_kwargs({"fast": False}) == {
-                "profile": SimProfile()
-            }
 
-    def test_unaligned_maps_to_negated_aligned(self):
-        with pytest.warns(DeprecationWarning, match="unaligned"):
-            out = canonicalize_kwargs({"unaligned": True})
-        assert out == {"aligned": False}
+class TestUnknownKeywords:
+    @pytest.mark.parametrize("entry", sorted(_OPTION_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("bogus", 1),
+            # Removed engine options and keyword spellings.
+            ("sampling", None),
+            ("fast", True),
+            ("unaligned", True),
+            ("max_workers", 1),
+        ],
+    )
+    def test_rejected_alike(self, config, entry, name, value):
+        with pytest.raises(
+            TypeError, match=rf"^unknown engine option\(s\): {name}$"
+        ):
+            _OPTION_ENTRY_POINTS[entry](config, {name: value})
 
-    def test_collision_with_canonical_name_rejected(self):
-        with pytest.raises(TypeError, match="both"):
-            canonicalize_kwargs({"fast": True, "profile": SimProfile()})
-
-    def test_canonical_names_pass_through_silently(self, recwarn):
-        out = canonicalize_kwargs({"workers": 2, "aligned": True})
-        assert out == {"workers": 2, "aligned": True}
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_session_accepts_legacy_kwargs(self, config):
-        with pytest.warns(DeprecationWarning):
-            session = Session("tomcatv", config=config, fast=True)
-        assert session.options.profile == SimProfile.fast()
+    @pytest.mark.parametrize("method", ["sweep", "bench"])
+    def test_max_workers_rejected_by_sweep_and_bench(self, config, method):
+        session = Session("tomcatv", config=config)
+        with pytest.raises(
+            TypeError, match=rf"^unknown {method} option\(s\): max_workers$"
+        ):
+            getattr(session, method)(max_workers=1)
 
 
 class TestDelegates:
@@ -191,10 +193,9 @@ class TestSessionScenarioSweep:
         figure = small_session.last_scenario.figure(width=16)
         assert "hint honor rate" in figure
 
-    def test_legacy_kwargs_still_shim(self, small_session, tiny_spec):
-        with pytest.warns(DeprecationWarning, match="max_workers"):
-            results = small_session.sweep(tiny_spec, max_workers=1)
-        assert len(results) == 3
+    def test_legacy_max_workers_rejected(self, small_session, tiny_spec):
+        with pytest.raises(TypeError, match="unknown sweep option"):
+            small_session.sweep(tiny_spec, max_workers=1)
 
     def test_unknown_kwarg_rejected(self, small_session, tiny_spec):
         with pytest.raises(TypeError, match="unknown sweep option"):

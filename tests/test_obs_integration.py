@@ -168,8 +168,9 @@ class TestBenchGuard:
         payload = session.bench(workers=1)
         assert payload["divergences"] == []
         assert payload["benchmark"] == "figure6_policy_sweep"
-        assert payload["sampled"]["within_bound"] is True
-        assert payload["speedup_sampled"] > 0
+        assert payload["speedup_warm"] > 0
+        assert "sampled" not in payload
+        assert not [key for key in payload if "sampled" in key]
 
 
 class TestBenchHistory:
@@ -177,7 +178,6 @@ class TestBenchHistory:
         "fast": {"refs_per_sec": 10.0},
         "speedup": 2.0,
         "speedup_warm": 3.0,
-        "speedup_sampled": 4.0,
     }
 
     def test_write_appends_history_across_runs(self, tmp_path):
@@ -192,7 +192,8 @@ class TestBenchHistory:
         entry = first["history"][0]
         assert entry["refs_per_sec"] == 10.0
         assert entry["speedup"] == 2.0
-        assert entry["speedup_sampled"] == 4.0
+        assert entry["speedup_warm"] == 3.0
+        assert not [key for key in entry if "sampled" in key]
         assert "revision" in entry and "date" in entry
 
         write_bench(dict(self.PAYLOAD), str(path))

@@ -150,6 +150,20 @@ class TestRunResult:
         assert combined == pytest.approx(11000.0)
         assert result.overhead_breakdown_ns()["sequential"] == 1000.0
 
+    def test_exact_runs_report_no_sampling(self):
+        # Every run is exact, but the serialized form keeps its "sampling"
+        # key (always null) so result digests stay byte-identical.
+        from repro.sim.engine import EngineOptions, run_benchmark
+        from repro.sim.tracegen import SimProfile
+
+        result = run_benchmark(
+            "fpppp", sgi_base(2).scaled(16),
+            EngineOptions(profile=SimProfile.fast()),
+        )
+        serialized = result.to_dict()
+        assert "sampling" in serialized
+        assert serialized["sampling"] is None
+
 
 class TestArrayMissAttribution:
     def test_attribution_labels_arrays_and_instructions(self):

@@ -400,7 +400,7 @@ class TestStaticCheckGate:
             {"prefetch": True},
             {"dynamic_recolor": True},
             {"memory_pressure": 0.5},
-            {"sampling": "access_vector"},
+            {"hint_watchdog": 0.5},
             {"race_seed": 7},
         ],
     )

@@ -22,7 +22,7 @@ class TestTraceCacheUnit:
         assert calls == [1]
         assert cache.stats() == {
             "entries": 1, "hits": 1, "misses": 1, "evictions": 0,
-            "columnar_indexes": 0, "window_plans": 0,
+            "columnar_indexes": 0,
         }
 
     def test_lru_eviction(self):
@@ -42,7 +42,7 @@ class TestTraceCacheUnit:
         cache.reset_counters()
         assert cache.stats() == {
             "entries": 0, "hits": 0, "misses": 0, "evictions": 0,
-            "columnar_indexes": 0, "window_plans": 0,
+            "columnar_indexes": 0,
         }
 
     def test_key_varies_with_every_fingerprint_component(self):
@@ -86,22 +86,20 @@ class TestTraceCacheEngine:
         run_benchmark("fpppp", CONFIG, FAST, profile=SimProfile())
         assert cache.misses > misses
 
-    def test_census_counts_columnar_indexes_and_window_plans(self):
+    def test_census_counts_columnar_indexes(self):
         cache = self._fresh()
-        run_benchmark("fpppp", CONFIG, FAST, sampling="access_vector")
-        stats = cache.stats()
+        run_benchmark("fpppp", CONFIG, FAST)
         # The columnar kernel memoizes a block index on every stream it
-        # runs, and the sampler memoizes a window plan on every trace;
-        # both ride on the cached traces and show up in the census.
-        assert stats["columnar_indexes"] > 0
-        assert stats["window_plans"] > 0
+        # runs; the index rides on the cached traces and shows up in the
+        # census.
+        assert cache.stats()["columnar_indexes"] > 0
 
     def test_disabled_cache_is_untouched(self):
         cache = self._fresh()
         run_benchmark("fpppp", CONFIG, FAST, trace_cache=False)
         assert cache.stats() == {
             "entries": 0, "hits": 0, "misses": 0, "evictions": 0,
-            "columnar_indexes": 0, "window_plans": 0,
+            "columnar_indexes": 0,
         }
 
 
