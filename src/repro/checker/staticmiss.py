@@ -310,9 +310,6 @@ class LineTouch:
         self.written = False
         self.instr = False
 
-    def as_tuple(self) -> tuple[int, int, int, bool, bool]:
-        return (self.refs, self.visits, self.streams, self.written, self.instr)
-
 
 def _accumulate_stream_lines(
     stream: StreamImage, line_size: int, lines: dict[int, LineTouch]

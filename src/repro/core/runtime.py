@@ -82,21 +82,3 @@ class CdpcRuntime:
     def install_by_touching(self, vm: VirtualMemory) -> int:
         """Deliver the mapping on an unmodified bin-hopping kernel."""
         return vm.touch_pages(self.touch_order())
-
-    def replan_colors(self, capacity_by_color: list[int]) -> dict[int, int]:
-        """Re-map the plan onto a changed capacity distribution.
-
-        The compile-time plan assumed every color had equal capacity; on
-        a machine whose frames are being revoked and restored that stops
-        being true.  This returns a fresh vpage → color table obtained by
-        a *bijection* on colors: the plan's color classes ranked by page
-        count land on the colors ranked by ``capacity_by_color``.  Being
-        a permutation, the remap preserves the plan's separation — two
-        pages the compiler placed in different cache bins stay in
-        different bins — while steering the largest classes toward the
-        colors that can still honor them.  Ties break toward the lowest
-        color so the remap is deterministic.
-        """
-        from repro.osmodel.dynamic import remap_plan_colors
-
-        return remap_plan_colors(self.hints, capacity_by_color)

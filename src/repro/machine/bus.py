@@ -12,7 +12,6 @@ bus-utilization graph can be regenerated.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class BusTransactionKind(str, enum.Enum):
@@ -25,14 +24,6 @@ class BusTransactionKind(str, enum.Enum):
     DATA = "data"  # request/reply pairs for cache fills
     WRITEBACK = "writeback"
     UPGRADE = "upgrade"  # shared -> exclusive ownership requests
-
-
-@dataclass
-class BusTransaction:
-    kind: BusTransactionKind
-    issue_ns: float
-    grant_ns: float
-    complete_ns: float
 
 
 class SplitTransactionBus:

@@ -36,7 +36,6 @@ cares about — the number of page colors — invariant on every geometry.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -56,10 +55,6 @@ __all__ = [
     "sliced_llc_8x",
     "three_level",
 ]
-
-# Backward-compatible private alias (pre-hierarchy callers imported it).
-_is_power_of_two = is_power_of_two
-
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -128,10 +123,6 @@ class MachineConfig:
         conflict-equivalence classes of physical frames.
         """
         return self.color_function.num_colors
-
-    @property
-    def bus_ns_per_byte(self) -> float:
-        return 1.0 / (self.bus_bandwidth_gb_s * 1e9 / 1e9)
 
     def page_number(self, addr: int) -> int:
         return addr // self.page_size
@@ -275,30 +266,6 @@ def _hierarchy_from_dict(data: dict[str, Any]) -> CacheHierarchy:
         mid=None if data.get("mid") is None else _level_from_dict(data["mid"]),
         color_table=tuple(data.get("color_table", ())),
     )
-
-
-# ----------------------------------------------------------------------
-# Deprecated keyword surface (PR-5 discipline: old spellings keep
-# working for one deprecation cycle, warning once per call).
-
-_dataclass_init = MachineConfig.__init__
-
-
-@functools.wraps(_dataclass_init)
-def _shimmed_init(self: MachineConfig, *args: Any, cache: Any = None, **kwargs: Any) -> None:
-    if cache is not None:
-        if "l2" in kwargs:
-            raise TypeError("got both 'cache' (deprecated) and 'l2'")
-        warnings.warn(
-            "keyword 'cache' is deprecated; use 'l2' (or an explicit hierarchy=)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs["l2"] = cache
-    _dataclass_init(self, *args, **kwargs)
-
-
-MachineConfig.__init__ = _shimmed_init  # type: ignore[method-assign]
 
 
 # ----------------------------------------------------------------------

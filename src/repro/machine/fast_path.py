@@ -4,8 +4,9 @@
 a layered, readable implementation of one memory reference (TLB -> L1 ->
 L2 -> coherence -> bus).  It is also ~a dozen Python calls per miss, and
 the simulator executes hundreds of thousands of references per run.  This
-module re-implements the oracle's per-chunk reference loop as one flat
-generator with every hot structure in a frame local, preceded by the
+module re-implements :func:`repro.machine.memory_system.reference_runner`
+-- the oracle's chunk runner, one ``access`` call per reference -- as one
+flat generator with every hot structure in a frame local, preceded by the
 vectorized hit filter that retires guaranteed on-chip read hits in bulk.
 
 The entry point is :func:`loop_runner`: a generator instantiated once per
@@ -406,8 +407,8 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                     index += 1
                     continue
 
-            # ---- Slow path: inline replica of the engine's per-reference
-            # loop plus MemorySystem.access.
+            # ---- Slow path: inline replica of reference_runner's
+            # per-reference body plus MemorySystem.access.
             base = page_cache_get(vpage)
             if base is None:
                 if not is_mapped(vpage):

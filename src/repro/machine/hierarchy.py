@@ -250,10 +250,6 @@ class SlicedHashColor:
                 yield frame
             frame += span
 
-    def frame_table(self, num_frames: int) -> tuple[int, ...]:
-        """Precomputed frame → color table (vectorized-kernel support)."""
-        return tuple(self.color_of(frame) for frame in range(num_frames))
-
 
 @dataclass(frozen=True)
 class TableColor:

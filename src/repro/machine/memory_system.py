@@ -409,18 +409,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and analysis)
 
-    def fast_path_state(self, cpu: int):
-        """Mutable per-CPU structures backing the engine's bulk hit filter.
-
-        Returns ``(tlb, l1d, l1i)``.  The engine probes ``tlb.entries``
-        and the caches' ``resident`` sets to prove a reference is an
-        on-chip read hit with a TLB hit, then replays exactly the LRU
-        effects (``tlb.entries.move_to_end``, ``SetAssociativeCache.promote``)
-        and credits the hit counters in bulk — bypassing :meth:`access`
-        for references it would have answered without side effects.
-        """
-        return self._tlb[cpu], self._l1d[cpu], self._l1i[cpu]
-
     def l2_utilization(self, cpu: int) -> float:
         return self._l2[cpu].utilization()
 
@@ -487,3 +475,73 @@ class MemorySystem:
                 self.bus.transactions[kind]
             )
             registry.gauge(f"bus.busy_ns.{kind.value}").set(self.bus.busy_ns[kind])
+
+
+def reference_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
+                     fault_watch=None):
+    """Generator executing ``stream`` chunks for ``cpu``: the reference path.
+
+    Same protocol as :func:`repro.machine.fast_path.loop_runner`: prime
+    with ``next()``, then ``send`` ``(start, end, clock, busy_per_ref,
+    fault_concurrency)`` per scheduling chunk and receive ``(new_clock,
+    kernel_ns, fault_kernel_ns)``.  Every reference takes the same three
+    steps: fault its page on first touch (then call ``fault_watch``),
+    issue its software prefetch, and run one layered :meth:`MemorySystem.
+    access` -- the oracle the fast runners must match bit for bit.
+
+    A runner is valid for one engine loop, like ``loop_runner``.
+    """
+    page_table = vm.page_table
+    is_mapped = page_table.is_mapped
+    frame_of = page_table.frame_of
+    fault = vm.fault
+    fault_ns = vm.PAGE_FAULT_NS
+    psz = ms.config.page_size
+    stats = ms.stats.cpus[cpu]
+    access = ms.access
+    addrs = stream.addrs
+    flags = stream.flags
+    prefetches = stream.prefetch
+    vpages = stream.vpages
+    offsets = stream.offsets
+
+    result = None
+    while True:
+        start, end, t, busy_per_ref, fault_concurrency = yield result
+        kernel_total = 0.0
+        fault_kernel = 0.0
+        for index in range(start, end):
+            vpage = vpages[index]
+            base = page_cache.get(vpage)
+            if base is None:
+                if not is_mapped(vpage):
+                    fault(vpage, cpu, concurrent_faults=fault_concurrency)
+                    t += fault_ns
+                    kernel_total += fault_ns
+                    fault_kernel += fault_ns
+                    if fault_watch is not None:
+                        fault_watch()
+                base = frame_of(vpage) * psz
+                page_cache[vpage] = base
+            if prefetches is not None:
+                target = prefetches[index]
+                if target:
+                    tlb_strict = bool(target & 1)
+                    target &= ~1
+                    tbase = page_cache.get(target // psz)
+                    if tbase is None:
+                        # Target page not yet faulted: the prefetch is
+                        # dropped exactly as a TLB-missing prefetch is.
+                        stats.prefetches_issued += 1
+                        stats.prefetches_dropped_tlb += 1
+                    else:
+                        t += ms.prefetch(
+                            cpu, t, target, tbase + target % psz, tlb_strict
+                        )
+            flag = flags[index]
+            stall, kernel_ns, _, _, _ = access(
+                cpu, t, addrs[index], base + offsets[index], flag & 1, flag & 2
+            )
+            t += busy_per_ref + stall + kernel_ns
+            kernel_total += kernel_ns
+        result = (t, kernel_total, fault_kernel)

@@ -11,7 +11,7 @@ Two CDPC delivery mechanisms from Section 5.3 are modeled:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.machine.config import MachineConfig
 from repro.osmodel.page_table import PageTable
@@ -117,9 +117,6 @@ class VirtualMemory:
 
     # ------------------------------------------------------------------
     # Introspection
-
-    def mapped_colors(self, vpages: Iterable[int]) -> list[int]:
-        return [self.color_of_vpage(vpage) for vpage in vpages]
 
     def color_histogram(self) -> list[int]:
         """Number of mapped pages per color, for utilization analysis."""

@@ -36,7 +36,7 @@ from typing import Any, Optional, Sequence
 
 from repro.harness.campaign import Campaign, CampaignOptions, run_campaign
 from repro.harness.retry import RetryPolicy
-from repro.harness.store import ResultStore, task_fingerprint
+from repro.harness.store import ResultStore
 
 __all__ = [
     "ServiceTask",
@@ -84,11 +84,6 @@ def task_label(task: ServiceTask) -> str:
         return f"predict[{task[1]}@{task[2].num_cpus}cpu/{task[3]}]"
     _, workload, config, options = task
     return f"simulate[{workload}@{config.num_cpus}cpu/{options.policy}]"
-
-
-def service_fingerprint(task: ServiceTask) -> str:
-    """sha256 identity of a service task (same discipline as the store)."""
-    return task_fingerprint(task)
 
 
 def execute_service_task(task: ServiceTask) -> dict:

@@ -19,7 +19,7 @@ alias.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.harness.store import task_fingerprint
@@ -226,9 +226,6 @@ class ColoringRequest:
                 raise ValueError("synthetic must be an object")
             kwargs["synthetic"] = tuple(sorted(knobs.items()))
         return cls(**kwargs)
-
-    def with_id(self, request_id: str) -> "ColoringRequest":
-        return replace(self, request_id=request_id)
 
 
 @dataclass

@@ -152,8 +152,7 @@ def static_prediction_accuracy(
     judged twice: the *bound contract* (the oracle's measured miss
     components must fall inside the predictor's self-reported intervals
     — a violation is an analyzer bug) and *point accuracy* (relative
-    error of the predicted total, the figure-of-merit the paper-style
-    ``static_vs_sim`` figure plots).
+    error of the predicted total).
     """
     from repro.checker.staticmiss import StaticMissProfile, predict_workload
 

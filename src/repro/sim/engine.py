@@ -42,7 +42,7 @@ from repro.core.runtime import CdpcRuntime
 from repro.machine.config import MachineConfig
 from repro.machine.columnar import columnar_runner as columnar_loop_runner
 from repro.machine.fast_path import loop_runner as fast_loop_runner
-from repro.machine.memory_system import MemorySystem
+from repro.machine.memory_system import MemorySystem, reference_runner
 from repro.machine.stats import MachineStats
 from repro.obs import DEFAULT_DISTANCE_EDGES, Observability, ObsConfig
 from repro.osmodel.physmem import CascadeReclaimer, HeldFrameReclaimer
@@ -88,6 +88,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _CHUNK = 16  # references simulated per processor per scheduling round
 
+#: Adaptive CDPC re-plans allowed per run before the mode concedes and
+#: falls back to the dynamic recolorer like a plain watchdog trip.
+_ADAPTIVE_MAX_REPLANS = 4
+#: An adaptive-CDPC window only counts as a *collapse* (and triggers a
+#: re-plan) when its honor rate is below ``hint_watchdog`` AND below this
+#: fraction of the best healthy rate observed so far.  The relative test
+#: keeps a plan that is merely mediocre from burning the re-plan budget
+#: the moment the run starts; the watchdog reacts to *drops*.
+_ADAPTIVE_COLLAPSE_RATIO = 0.8
+
 
 @dataclass(frozen=True)
 class EngineOptions:
@@ -119,12 +129,6 @@ class EngineOptions:
     #: Run the page-table/physical-memory/miss-accounting invariant sweep
     #: after initialization and after every phase, raising on violation.
     check_invariants: bool = False
-    #: Graceful degradation: on allocator exhaustion, reclaim a competing
-    #: address space's frame or evict the coldest mapped page instead of
-    #: raising OutOfMemoryError.  (Reclaim only engages where the run
-    #: would previously have crashed, so fault-free results are
-    #: unchanged.)
-    reclaim: bool = True
     #: Hint-honor-rate watchdog: when the rate drops below this threshold
     #: the engine abandons the static CDPC hints and falls back to the
     #: Section 2.1 dynamic recolorer.  None disables the watchdog.
@@ -141,34 +145,28 @@ class EngineOptions:
     #: not just at phase boundaries — so a mid-phase collapse is repaired
     #: mid-phase.  Requires ``cdpc`` and ``hint_watchdog``.
     adaptive_cdpc: bool = False
-    #: Re-plans allowed per run before the adaptive mode concedes and
-    #: falls back to the dynamic recolorer like a plain watchdog trip.
-    adaptive_max_replans: int = 4
-    #: A window only counts as a *collapse* (and triggers a re-plan) when
-    #: its honor rate is below ``hint_watchdog`` AND below this fraction
-    #: of the best healthy rate observed so far.  The relative test keeps
-    #: a plan that is merely mediocre from burning the re-plan budget the
-    #: moment the run starts; the watchdog reacts to *drops*.
-    adaptive_collapse_ratio: float = 0.8
     #: Times the measured window repeats (statistics are averaged over
     #: epochs, so results stay comparable across epoch counts).  Churn
     #: scenarios need many phase-boundary beats for their schedules to
     #: play out; a plain run keeps the default single epoch, which is
     #: bit-identical to the historical behavior.
     epochs: int = 1
-    #: Vectorized hit filter: retire references that provably hit the
-    #: on-chip cache and TLB with no coherence side effect in bulk,
-    #: bypassing the per-reference memory-system call.  Results are
-    #: bit-identical to the reference path (``fast_path=False``), which is
-    #: retained as the oracle for the equivalence suite.
+    #: Run the flattened fast runner (:func:`repro.machine.fast_path.
+    #: loop_runner`): a vectorized hit filter that retires references
+    #: which provably hit the on-chip cache and TLB with no coherence side
+    #: effect in bulk, and an inlined copy of the miss path.  Results are
+    #: bit-identical to ``fast_path=False``, which runs :func:`repro.
+    #: machine.memory_system.reference_runner` -- one layered
+    #: ``MemorySystem.access`` per reference, the oracle of the
+    #: equivalence suite.
     fast_path: bool = True
     #: Columnar epoch kernel on top of the fast path: retire whole
     #: 16-reference column blocks whose references all pass the hit
     #: filter with one block-level membership check and a batch LRU
     #: replay (:mod:`repro.machine.columnar`), falling back to the
     #: scalar filter for the coherence-active residual.  Bit-identical
-    #: to both the scalar fast path and the reference oracle; only
-    #: meaningful when ``fast_path`` is on.
+    #: to both the scalar fast path and ``reference_runner``; ignored
+    #: when ``fast_path`` is off.
     columnar: bool = True
     #: Memoize generated reference streams in the process-wide trace
     #: cache, reusing them across warmup/measured passes, repeated phase
@@ -330,21 +328,24 @@ class _Simulation:
         )
         page_cache: dict[int, int] = {}  # vpage -> frame base address
         self.page_cache = page_cache
-        if options.reclaim:
-            # The hook holds the page cache, not the simulation: a bound
-            # method here would close a reference cycle through the VM,
-            # keeping every finished run alive until a full collection.
-            cold = ColdPageReclaimer(
-                self.vm, self.ms,
-                on_evict=lambda vpage, _frame: page_cache.pop(vpage, None),
-            )
-            self.vm.physmem.reclaim_policy = CascadeReclaimer([
-                HeldFrameReclaimer(),
-                cold,
-            ])
-            # Capacity revocation must not confiscate the competing
-            # address space's frames — the subject's cold pages pay.
-            self.vm.physmem.revocation_policy = cold
+        # Graceful degradation: on allocator exhaustion, reclaim a
+        # competing address space's frame or evict the coldest mapped page
+        # instead of raising OutOfMemoryError.  Reclaim only engages where
+        # the run would otherwise crash, so fault-free results are
+        # unchanged.  The hook holds the page cache, not the simulation: a
+        # bound method here would close a reference cycle through the VM,
+        # keeping every finished run alive until a full collection.
+        cold = ColdPageReclaimer(
+            self.vm, self.ms,
+            on_evict=lambda vpage, _frame: page_cache.pop(vpage, None),
+        )
+        self.vm.physmem.reclaim_policy = CascadeReclaimer([
+            HeldFrameReclaimer(),
+            cold,
+        ])
+        # Capacity revocation must not confiscate the competing address
+        # space's frames — the subject's cold pages pay.
+        self.vm.physmem.revocation_policy = cold
         self._invariant_checks = 0
         self._watchdog_tripped = False
         self.adaptive: Optional["AdaptiveCdpc"] = None
@@ -362,9 +363,17 @@ class _Simulation:
             and options.hint_watchdog is not None
         )
         self._trace_cache = default_trace_cache() if options.trace_cache else None
-        self._runner_factory = (
-            columnar_loop_runner if options.columnar else fast_loop_runner
-        )
+        # One runner protocol, three runners: the layered reference path,
+        # the scalar fast path, or the columnar kernel over it.  The init
+        # pass writes every line once, so it has no column blocks to
+        # retire and never takes the columnar runner.
+        if options.fast_path:
+            self._init_runner_factory = fast_loop_runner
+            self._runner_factory = (
+                columnar_loop_runner if options.columnar else fast_loop_runner
+            )
+        else:
+            self._init_runner_factory = self._runner_factory = reference_runner
         # Observability wiring.  Profilers are ``None`` when disabled so
         # the hot chunk path pays one identity check; the physmem hooks
         # are installed only when metrics are on (one attribute check per
@@ -624,19 +633,18 @@ class _Simulation:
         supposed to repair the rate going forward; the cumulative rate
         would keep a single early collapse visible forever and re-trigger
         endlessly.  A window is a *collapse* only when it is below the
-        watchdog threshold AND below
-        :attr:`EngineOptions.adaptive_collapse_ratio` of the best healthy
-        window seen, so a plan that merely starts mediocre (capacity was
-        already tight at load time) does not burn the re-plan budget.
+        watchdog threshold AND below :data:`_ADAPTIVE_COLLAPSE_RATIO` of
+        the best healthy window seen, so a plan that merely starts
+        mediocre (capacity was already tight at load time) does not burn
+        the re-plan budget.
 
         On collapse the plan's faulting classes are packed onto surviving
         grantable capacity (see
         :class:`repro.osmodel.dynamic.AdaptiveCdpc`), the new hints are
         installed, and the hottest stale pages migrate with the same
         shootdown/copy cost model the dynamic recolorer pays.  After
-        :attr:`EngineOptions.adaptive_max_replans` re-plans the mode
-        concedes and falls back to the dynamic recolorer, exactly like a
-        plain watchdog trip.
+        :data:`_ADAPTIVE_MAX_REPLANS` re-plans the mode concedes and falls
+        back to the dynamic recolorer, exactly like a plain watchdog trip.
         """
         physmem = self.vm.physmem
         window_requests = physmem.hint_requests - self._honor_base_requests
@@ -648,7 +656,7 @@ class _Simulation:
         collapsed = (
             rate < threshold
             and ref is not None
-            and rate < self.options.adaptive_collapse_ratio * ref
+            and rate < _ADAPTIVE_COLLAPSE_RATIO * ref
         )
         if not collapsed:
             if boundary or window_requests >= 64:
@@ -663,7 +671,7 @@ class _Simulation:
             return
         if (
             self.adaptive is not None
-            and self.adaptive.total_replans >= self.options.adaptive_max_replans
+            and self.adaptive.total_replans >= _ADAPTIVE_MAX_REPLANS
         ):
             self._trip_watchdog(rate, threshold)
             return
@@ -759,42 +767,18 @@ class _Simulation:
         return result
 
     def run_init(self) -> None:
-        """Master initializes every array page (the paper's init section)."""
-        psz = self.config.page_size
-        t = self.clocks[0]
-        stats = self.ms.stats.cpus[0]
-        line = self.config.l2.line_size
-        order = self.init_pages_order()
-        if self.options.fast_path:
-            t = self._run_init_fast(order, psz, line, t, stats)
-        else:
-            for vpage in order:
-                if self.vm.ensure_mapped(vpage, cpu=0):
-                    t += self.vm.PAGE_FAULT_NS
-                    stats.overhead_ns["kernel"] += self.vm.PAGE_FAULT_NS
-                base = self.vm.page_table.frame_of(vpage) * psz
-                self.page_cache[vpage] = base
-                # Touch each line of the page once (initialization writes).
-                for offset in range(0, psz, line):
-                    result = self.ms.access(
-                        0, t, vpage * psz + offset, base + offset, is_write=True
-                    )
-                    t += self.config.cycle_ns + result.stall_ns + result.kernel_ns
-        self._sync_clocks(t)
-        self.init_ns = t
-
-    def _run_init_fast(self, order, psz, line, t, stats) -> float:
-        """Init pass through the flattened fast path.
+        """Master initializes every array page (the paper's init section).
 
         The init loop writes each line of each page in page order, so it
-        is expressible as one reference stream; the fast path faults a
-        page at its first touch, exactly when the oracle's
-        ``ensure_mapped`` would.  Only page-fault time is charged to the
-        kernel overhead category (TLB service time advances the clock but
-        is not overhead here — matching the oracle above).
+        is one reference stream: the runner faults a page at its first
+        touch.  Only page-fault time is charged to the kernel overhead
+        category; TLB service time advances the clock but is not overhead
+        here.
         """
+        psz = self.config.page_size
+        line = self.config.l2.line_size
         addrs: list[int] = []
-        for vpage in order:
+        for vpage in self.init_pages_order():
             start = vpage * psz
             addrs.extend(range(start, start + psz, line))
         n = len(addrs)
@@ -809,14 +793,20 @@ class _Simulation:
             vlines=addrs,  # already line-aligned
             fast_kinds=[0] * n,  # writes never take the hit filter
         )
-        runner = fast_loop_runner(self.ms, self.vm, self.page_cache, 0, stream)
-        next(runner)
+        runner = self._primed_runner(self._init_runner_factory, 0, stream, None)
         t, _kernel_total, fault_kernel = runner.send(
-            (0, n, t, self.config.cycle_ns, 1)
+            (0, n, self.clocks[0], self.config.cycle_ns, 1)
         )
         runner.close()
-        stats.overhead_ns["kernel"] += fault_kernel
-        return t
+        self.ms.stats.cpus[0].overhead_ns["kernel"] += fault_kernel
+        self._sync_clocks(t)
+        self.init_ns = t
+
+    def _primed_runner(self, factory, cpu, stream, fault_watch):
+        runner = factory(self.ms, self.vm, self.page_cache, cpu, stream,
+                         fault_watch=fault_watch)
+        next(runner)
+        return runner
 
     def _sync_clocks(self, value: float) -> None:
         for cpu in range(self.num_cpus):
@@ -984,59 +974,41 @@ class _Simulation:
         clocks = self.clocks
         psz = self.config.page_size
         line = self.config.l2.line_size
-        streams = [traces[cpu].ref_stream(psz, line) for cpu in range(self.num_cpus)]
+        runners = [
+            self._primed_runner(self._runner_factory, cpu,
+                                traces[cpu].ref_stream(psz, line),
+                                self._fault_hook())
+            for cpu in range(self.num_cpus)
+        ]
         positions = [0] * self.num_cpus
         active = [cpu for cpu in range(self.num_cpus) if len(traces[cpu])]
         concurrent = len(active)
-        if self.options.fast_path:
-            runners = []
-            for cpu in range(self.num_cpus):
-                runner = self._runner_factory(
-                    self.ms, self.vm, self.page_cache, cpu, streams[cpu],
-                    fault_watch=self._fault_hook(),
-                )
-                next(runner)
-                runners.append(runner)
-        else:
-            runners = None
         while active:
             cpu = min(active, key=clocks.__getitem__)
             end = min(positions[cpu] + _CHUNK, len(traces[cpu]))
-            if runners is not None:
-                self._run_chunk_fast(cpu, runners[cpu], loop, traces[cpu],
-                                     positions[cpu], end, concurrent)
-            else:
-                self._run_chunk(cpu, loop, traces[cpu], streams[cpu],
-                                positions[cpu], end, concurrent)
+            self._run_chunk(cpu, runners[cpu], loop, traces[cpu],
+                            positions[cpu], end, concurrent)
             positions[cpu] = end
             if end >= len(traces[cpu]):
                 active.remove(cpu)
-        if runners is not None:
-            for runner in runners:
-                runner.close()
+        for runner in runners:
+            runner.close()
 
     def _simulate_cpu(self, cpu, loop, trace, concurrent) -> None:
         stream = trace.ref_stream(self.config.page_size, self.config.l2.line_size)
-        if self.options.fast_path:
-            runner = self._runner_factory(self.ms, self.vm, self.page_cache,
-                                          cpu, stream,
-                                          fault_watch=self._fault_hook())
-            next(runner)
-            self._run_chunk_fast(cpu, runner, loop, trace, 0, len(trace),
-                                 concurrent)
-            runner.close()
-        else:
-            self._run_chunk(cpu, loop, trace, stream, 0, len(trace), concurrent)
+        runner = self._primed_runner(self._runner_factory, cpu, stream,
+                                     self._fault_hook())
+        self._run_chunk(cpu, runner, loop, trace, 0, len(trace), concurrent)
+        runner.close()
 
-    def _run_chunk_fast(self, cpu, runner, loop, trace, start, end,
-                        concurrent) -> None:
-        """Dispatch one chunk to the flattened fast path (repro.machine).
+    def _run_chunk(self, cpu, runner, loop, trace, start, end,
+                   concurrent) -> None:
+        """Send one scheduling chunk to ``cpu``'s primed runner.
 
-        Performs the same post-chunk accounting as the oracle
-        :meth:`_run_chunk`; the per-reference simulation itself runs in
-        the primed :func:`repro.machine.fast_path.loop_runner` generator,
-        which is bit-identical to the oracle by construction (and by the
-        equivalence suite).
+        The runner (:func:`repro.machine.memory_system.reference_runner`
+        or one of the fast runners) simulates the references; this
+        charges the chunk's instruction work and kernel time to the CPU
+        and advances its clock.
         """
         if end <= start:
             return
@@ -1062,84 +1034,6 @@ class _Simulation:
         )
         stats.overhead_ns["kernel"] += kernel_total
         self.clocks[cpu] = t
-
-    def _run_chunk(self, cpu, loop, trace, stream, start, end, concurrent) -> None:
-        if end <= start:
-            return
-        prof = self._chunk_prof
-        prof_started = prof.tick() if prof is not None else None
-        ms = self.ms
-        vm = self.vm
-        page_table = vm.page_table
-        page_cache = self.page_cache
-        psz = self.config.page_size
-        fault_ns = vm.PAGE_FAULT_NS
-        busy_per_ref = (
-            self.config.cycle_ns * loop.instructions_per_word * trace.words_per_ref
-        )
-        t = self.clocks[cpu]
-        stats = ms.stats.cpus[cpu]
-        kernel_total = 0.0
-
-        # Shared per-trace columns; indexed by absolute position, never
-        # sliced per chunk (the lists are reused across chunks and runs).
-        addrs = stream.addrs
-        flags = stream.flags
-        prefetches = stream.prefetch
-        vpages = stream.vpages
-        offsets = stream.offsets
-        access = ms.access
-        fault_concurrency = (
-            concurrent if self.injector is None
-            else self.injector.fault_concurrency(concurrent)
-        )
-        fault_watch = self._fault_hook()
-
-        index = start
-        while index < end:
-            vpage = vpages[index]
-            base = page_cache.get(vpage)
-            if base is None:
-                if not page_table.is_mapped(vpage):
-                    vm.fault(vpage, cpu, concurrent_faults=fault_concurrency)
-                    t += fault_ns
-                    kernel_total += fault_ns
-                    if fault_watch is not None:
-                        fault_watch()
-                base = page_table.frame_of(vpage) * psz
-                page_cache[vpage] = base
-            if prefetches is not None:
-                target = prefetches[index]
-                if target:
-                    tlb_strict = bool(target & 1)
-                    target &= ~1
-                    tpage = target // psz
-                    tbase = page_cache.get(tpage)
-                    if tbase is None:
-                        # Target page not yet faulted: the prefetch is
-                        # dropped exactly as a TLB-missing prefetch is.
-                        stats.prefetches_issued += 1
-                        stats.prefetches_dropped_tlb += 1
-                    else:
-                        t += ms.prefetch(
-                            cpu, t, target, tbase + target % psz, tlb_strict
-                        )
-            flag = flags[index]
-            result = access(cpu, t, addrs[index], base + offsets[index],
-                            flag & 1, flag & 2)
-            t += busy_per_ref + result[0] + result[1]
-            kernel_total += result[1]
-            index += 1
-
-        count = end - start
-        stats.busy_ns += busy_per_ref * count
-        stats.instructions += int(
-            loop.instructions_per_word * trace.words_per_ref * count
-        )
-        stats.overhead_ns["kernel"] += kernel_total
-        self.clocks[cpu] = t
-        if prof_started is not None:
-            prof.observe(prof_started)
 
     # ------------------------------------------------------------------
 

@@ -29,6 +29,3 @@ class WorkloadModel:
     @property
     def data_set_mb(self) -> float:
         return self.program.data_set_bytes / (1024 * 1024)
-
-    def scaled_program(self, factor: int) -> Program:
-        return self.program.scaled(factor)

@@ -16,9 +16,11 @@ from dataclasses import replace
 import pytest
 
 from repro.machine.config import sgi_base
+from repro.machine.memory_system import MemorySystem
 from repro.robustness.faults import FaultPlan
-from repro.sim.engine import EngineOptions, run_benchmark
+from repro.sim.engine import EngineOptions, _Simulation, run_benchmark
 from repro.sim.tracegen import SimProfile
+from repro.workloads.specfp import get_workload
 
 CONFIG = sgi_base(4).scaled(16)
 
@@ -69,3 +71,35 @@ def test_fast_path_matches_reference(workload, label):
 def test_fast_path_is_the_default():
     assert EngineOptions().fast_path
     assert EngineOptions().trace_cache
+
+
+def test_reference_path_runs_the_layered_oracle(monkeypatch):
+    # Without this, wiring fast_path=False to a flat runner would make
+    # every equivalence test above compare the fast path with itself.
+    calls = 0
+    layered = MemorySystem.access
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return layered(self, *args, **kwargs)
+
+    monkeypatch.setattr(MemorySystem, "access", counted)
+    config = sgi_base(2).scaled(16)
+    program = get_workload("tomcatv", scale=config.scale_factor).program
+    for fast_path in (False, True):
+        calls = 0
+        options = EngineOptions(
+            policy="bin_hopping", cdpc=True, profile=SimProfile.fast(),
+            fast_path=fast_path,
+        )
+        sim = _Simulation(program, config, options)
+        sim.run()
+        ms = sim.ms
+        if fast_path:
+            assert calls == 0
+            continue
+        translations = sum(sum(ms.tlb_stats(cpu)) for cpu in range(config.num_cpus))
+        assert calls == translations > 0
+        assert ms.fast_retired_data == ms.fast_retired_instr == 0
+        assert ms.fast_retired_blocks == 0

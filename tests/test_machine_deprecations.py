@@ -1,10 +1,8 @@
-"""Deprecation shims of the geometry redesign (the PR-5 discipline).
+"""The machine-configuration surface must stay free of deprecations.
 
-Every pre-hierarchy ``MachineConfig`` spelling keeps working for one
-deprecation cycle: the removed ``cache=`` keyword maps onto ``l2=`` with
-exactly one :class:`DeprecationWarning`, and everything the repo's own
-callers use — presets, ``scaled``, ``with_cpus``, ``replace``, the
-session facade — stays warning-free, because CI runs an
+Everything the repo's own callers use — presets, ``scaled``,
+``with_cpus``, ``replace``, ``from_dict``, the session facade — must
+construct without a :class:`DeprecationWarning`, because CI runs an
 ``-W error::DeprecationWarning`` leg over them.
 """
 
@@ -21,38 +19,6 @@ from repro.machine.config import (
     CacheConfig,
     MachineConfig,
 )
-
-
-class TestCacheKeywordShim:
-    def test_cache_keyword_maps_to_l2(self):
-        with pytest.warns(DeprecationWarning, match="'cache' is deprecated"):
-            config = MachineConfig(cache=CacheConfig(4 * 1024 * 1024, 128, 1))
-        assert config.l2 == CacheConfig(4 * 1024 * 1024, 128, 1)
-        assert config.num_colors == 1024
-        assert config == MachineConfig(l2=CacheConfig(4 * 1024 * 1024, 128, 1))
-
-    def test_cache_keyword_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            MachineConfig(cache=CacheConfig(1024 * 1024, 128, 2))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_cache_with_l2_is_ambiguous(self):
-        with pytest.raises(TypeError, match="both 'cache'"):
-            MachineConfig(
-                cache=CacheConfig(1024 * 1024, 128, 1),
-                l2=CacheConfig(1024 * 1024, 128, 2),
-            )
-
-    def test_shimmed_config_still_scales(self):
-        with pytest.warns(DeprecationWarning):
-            config = MachineConfig(cache=CacheConfig(1024 * 1024, 128, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert config.scaled(16).num_colors == config.num_colors
 
 
 class TestModernSurfaceIsWarningFree:

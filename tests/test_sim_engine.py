@@ -258,7 +258,7 @@ class TestRunBenchmark:
         config = sgi_base(2).scaled(16)
         fast = SimProfile.fast()
         cases = [
-            ("tomcatv", EngineOptions(profile=fast, reclaim=True)),
+            ("tomcatv", EngineOptions(profile=fast)),
             (
                 "fpppp",
                 EngineOptions(
