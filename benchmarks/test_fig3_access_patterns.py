@@ -13,7 +13,6 @@ from repro.analysis.access_maps import footprint_density, page_access_map, va_or
 from repro.analysis.report import render_table
 from repro.compiler.padding import layout_arrays
 from repro.compiler.summaries import extract_summary
-from repro.sim.engine import _loop_group_pairs
 from repro.workloads import get_workload
 
 WORKLOADS = ("tomcatv", "swim", "hydro2d")
@@ -27,7 +26,7 @@ def build_maps():
         program = get_workload(name, BENCH_SCALE).program
         layout = layout_arrays(
             program.arrays, config.l2.line_size, config.l1d.size,
-            groups=_loop_group_pairs(program),
+            groups=program.group_pairs(),
         )
         summary = extract_summary(program, layout)
         access_map = page_access_map(summary, config.page_size, NUM_CPUS)

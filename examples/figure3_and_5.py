@@ -20,7 +20,6 @@ from repro.analysis.access_plot import render_access_map
 from repro.compiler.padding import layout_arrays
 from repro.compiler.summaries import extract_summary
 from repro.core.coloring import generate_page_colors
-from repro.sim.engine import _loop_group_pairs
 from repro.workloads import get_workload
 
 
@@ -32,7 +31,7 @@ def main() -> None:
     program = get_workload(workload, config.scale_factor).program
     layout = layout_arrays(
         program.arrays, config.l2.line_size, config.l1d.size,
-        groups=_loop_group_pairs(program),
+        groups=program.group_pairs(),
     )
     summary = extract_summary(program, layout)
     access_map = page_access_map(summary, config.page_size, num_cpus)

@@ -9,6 +9,11 @@ Examples::
     python -m repro faults tomcatv --pressure 0.6 --hint-loss 0.2 --check-invariants
     python -m repro bench --fast --workloads tomcatv,swim
     python -m repro list
+
+Every verb that simulates builds its :class:`EngineOptions` through
+:func:`_engine_options`; a flag combination the options reject is a
+usage error (one ``repro <verb>: error:`` line, exit 2), as are bad
+fault-plan values and unknown machine or policy names.
 """
 
 from __future__ import annotations
@@ -16,33 +21,37 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
+from contextlib import contextmanager
+from typing import Iterator
 
 from repro.analysis.report import render_table
 from repro.checker.staticmiss import StaticCheckError
-from repro.machine.config import MACHINE_PRESETS, MachineConfig, alpha_server
+from repro.harness import Campaign, CampaignOptions, RetryPolicy
+from repro.harness.campaign import campaign_obs_report
+from repro.machine.config import MachineConfig
+from repro.obs import ProgressLine, Tracer
 from repro.robustness.faults import FaultPlan
-from repro.sim.engine import EngineOptions, run_benchmark, run_program
+from repro.service.protocol import MACHINE_FACTORIES
+from repro.sim.engine import NATIVE_POLICIES, EngineOptions, run_benchmark, run_program
+from repro.sim.sweeps import STANDARD_POLICIES, run_task_campaign
 from repro.sim.tracegen import SimProfile
 from repro.workloads import WORKLOAD_NAMES, get_workload
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.harness import CampaignOptions
 
 #: Where ``--resume`` persists results when no ``--store`` is given.
 #: Entries are keyed by full task fingerprints, so one directory safely
 #: serves every workload/policy/machine combination.
 DEFAULT_STORE = ".repro/campaigns"
 
-#: Every preset geometry plus the historical ``alpha`` alias.
-_MACHINES = {
-    **{name: preset for name, preset in MACHINE_PRESETS.items()},
-    "alpha": alpha_server,
-}
+#: Result-table columns after the row label.
+_RESULT_COLUMNS = ["wall ms", "MCPI", "conflict", "capacity", "bus"]
+
+
+class UsageError(Exception):
+    """A flag value or combination the verb rejects; ``main`` exits 2."""
 
 
 def _make_config(args) -> MachineConfig:
-    return _MACHINES[args.machine](args.cpus).scaled(args.scale)
+    return MACHINE_FACTORIES[args.machine](args.cpus).scaled(args.scale)
 
 
 def _obs_config(args):
@@ -54,6 +63,31 @@ def _obs_config(args):
     if not metrics_out and not trace_out:
         return None
     return ObsConfig(metrics=bool(metrics_out), tracing=bool(trace_out))
+
+
+def _engine_options(args, **fixed) -> EngineOptions:
+    """The options the verb's flags ask for, with ``fixed`` fields on top.
+
+    The only place the CLI builds :class:`EngineOptions`.  A verb without
+    a flag gets the field's default; construction rejects illegal
+    combinations, which become a :class:`UsageError`.
+    """
+    flags = vars(args)
+    fields = {
+        "policy": flags.get("policy", "page_coloring"),
+        "cdpc": flags.get("cdpc", False),
+        "prefetch": flags.get("prefetch", False),
+        "aligned": not flags.get("unaligned", False),
+        "profile": SimProfile.fast() if flags.get("fast") else SimProfile(),
+        "static_check": flags.get("static_check", False),
+        "check_invariants": flags.get("check_invariants", False),
+        "obs": _obs_config(args),
+        **fixed,
+    }
+    try:
+        return EngineOptions(**fields)
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
 def _write_obs_outputs(args, report: dict) -> None:
@@ -70,22 +104,6 @@ def _write_obs_outputs(args, report: dict) -> None:
         write_trace_json(args.trace_out, report.get("trace_events", []))
 
 
-def _options_for(policy_label: str, args) -> EngineOptions:
-    cdpc = policy_label == "cdpc" or args.cdpc
-    native = args.policy if policy_label == "cdpc" else policy_label
-    if native == "cdpc":
-        native = "page_coloring"
-    return EngineOptions(
-        policy=native,
-        cdpc=cdpc,
-        prefetch=args.prefetch,
-        aligned=not args.unaligned,
-        profile=SimProfile.fast() if args.fast else SimProfile(),
-        obs=_obs_config(args),
-        static_check=getattr(args, "static_check", False),
-    )
-
-
 def _result_row(label: str, result) -> list:
     return [
         label,
@@ -95,6 +113,59 @@ def _result_row(label: str, result) -> list:
         result.miss_breakdown()["capacity"],
         round(result.bus_utilization(), 2),
     ]
+
+
+def _print_result(result) -> None:
+    print(render_table(["config", *_RESULT_COLUMNS],
+                       [_result_row(result.label(), result)]))
+
+
+def _file_program(args):
+    """The text-format workload named by ``args.file``, at the machine's scale."""
+    from repro.compiler.frontend import parse_program
+
+    with open(args.file) as handle:
+        # Workload files declare full-scale sizes; scale them to the machine.
+        return parse_program(handle.read()).scaled(args.scale)
+
+
+@contextmanager
+def _campaign(args, label: str) -> Iterator[CampaignOptions]:
+    """Harness options from the campaign flags, with a live progress line."""
+    store = args.store
+    if args.resume and store is None:
+        store = DEFAULT_STORE
+    progress = ProgressLine(label=label, force=args.progress)
+    try:
+        yield CampaignOptions(
+            store=store,
+            resume=args.resume or store is not None,
+            retry=RetryPolicy(max_attempts=max(1, args.retries + 1)),
+            timeout_s=args.timeout,
+            strict=args.strict,
+            tracer=Tracer() if args.trace_out else None,
+            on_progress=progress.update,
+        )
+    finally:
+        progress.finish()
+
+
+def _campaign_exit(args, outcome: Campaign, campaign: CampaignOptions) -> int:
+    """Write the obs files, report failed runs, and pick the exit code."""
+    if args.metrics_out or args.trace_out:
+        _write_obs_outputs(
+            args, campaign_obs_report(outcome, tracer=campaign.tracer) or {}
+        )
+    report = outcome.report
+    for failure in report.failures:
+        print(
+            f"  FAILED {failure.label}: {failure.kind} "
+            f"after {failure.attempts} attempt(s) {failure.message}",
+            file=sys.stderr,
+        )
+    if report.interrupted:
+        return 130
+    return 0 if report.ok else 1
 
 
 def cmd_list(_args) -> int:
@@ -110,10 +181,14 @@ def cmd_list(_args) -> int:
 
 
 def cmd_run(args) -> int:
+    """``run`` a bundled workload, or ``runfile`` a text-format one."""
     config = _make_config(args)
-    options = _options_for("cdpc" if args.cdpc else args.policy, args)
+    options = _engine_options(args)
     try:
-        result = run_benchmark(args.workload, config, options)
+        if args.command == "runfile":
+            result = run_program(_file_program(args), config, options)
+        else:
+            result = run_benchmark(args.workload, config, options)
     except StaticCheckError as exc:
         print(f"static-check FAILED: {exc}", file=sys.stderr)
         return 1
@@ -121,27 +196,18 @@ def cmd_run(args) -> int:
         _write_obs_outputs(args, result.obs or {})
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
-        return 0
-    print(
-        render_table(
-            ["config", "wall ms", "MCPI", "conflict", "capacity", "bus"],
-            [_result_row(result.label(), result)],
-        )
-    )
+    else:
+        _print_result(result)
     return 0
 
 
 def cmd_lint(args) -> int:
     """Static race detection + color-plan linting, no simulation."""
-    from repro.checker import lint_program
+    from repro.checker.lint import lint_context, lint_context_report
 
     config = _make_config(args)
     if args.file:
-        from repro.compiler.frontend import parse_program
-
-        with open(args.file) as handle:
-            program = parse_program(handle.read())
-        programs = [program.scaled(args.scale)]
+        programs = [_file_program(args)]
     elif args.workload == "all":
         programs = [
             get_workload(name, scale=args.scale).program
@@ -150,8 +216,8 @@ def cmd_lint(args) -> int:
     else:
         programs = [get_workload(args.workload, scale=args.scale).program]
 
-    reports = [
-        lint_program(
+    contexts = [
+        lint_context(
             program,
             config,
             cdpc=not args.no_cdpc,
@@ -160,11 +226,10 @@ def cmd_lint(args) -> int:
         )
         for program in programs
     ]
+    reports = [lint_context_report(ctx) for ctx in contexts]
     verifications = None
     if args.verify_plan:
-        verifications = [
-            _verify_program_plan(program, config, args) for program in programs
-        ]
+        verifications = [_verify_plan(ctx) for ctx in contexts]
     num_errors = sum(len(report.errors()) for report in reports)
     if args.format == "json":
         payload = {
@@ -191,39 +256,22 @@ def cmd_lint(args) -> int:
     return 0
 
 
-def _verify_program_plan(program, config, args):
-    """Derive the plan the OS would realize and verify it symbolically."""
-    from repro.checker.lint import _group_pairs
+def _verify_plan(ctx):
+    """Verify the plan the OS would realize from the linted artifacts."""
     from repro.checker.staticmiss import (
         derive_static_plan,
         program_image,
         verify_plan,
     )
-    from repro.compiler.padding import layout_arrays
-    from repro.compiler.summaries import extract_summary
-    from repro.core.coloring import generate_page_colors
 
-    layout = layout_arrays(
-        program.arrays,
-        config.l2.line_size,
-        config.l1d.size,
-        aligned=not args.unaligned,
-        groups=_group_pairs(program),
-    )
-    coloring = None
-    if not args.no_cdpc:
-        summary = extract_summary(program, layout)
-        coloring = generate_page_colors(
-            summary, config.page_size, config.num_colors, args.cpus
-        )
-    image = program_image(program, layout, config, args.cpus)
+    image = program_image(ctx.program, ctx.layout, ctx.config, ctx.num_cpus)
     plan = derive_static_plan(
-        program,
-        layout,
-        config,
+        ctx.program,
+        ctx.layout,
+        ctx.config,
         policy="page_coloring",
-        cdpc=coloring is not None,
-        coloring=coloring,
+        cdpc=ctx.coloring is not None,
+        coloring=ctx.coloring,
     )
     return verify_plan(image, plan)
 
@@ -287,9 +335,7 @@ def cmd_predict(args) -> int:
             ]
             if args.check:
                 result = run_benchmark(
-                    name,
-                    config,
-                    EngineOptions(policy=native, cdpc=cdpc, profile=profile),
+                    name, config, _engine_options(args, policy=native, cdpc=cdpc)
                 )
                 measured = StaticMissProfile.measured_from(result)
                 violations = prediction.check(result)
@@ -314,22 +360,6 @@ def cmd_predict(args) -> int:
     return 1 if violation_count else 0
 
 
-def _campaign_options(args) -> "CampaignOptions":
-    """Fault-tolerance options shared by the campaign-running commands."""
-    from repro.harness import CampaignOptions, RetryPolicy
-
-    store = args.store
-    if args.resume and store is None:
-        store = DEFAULT_STORE
-    return CampaignOptions(
-        store=store,
-        resume=args.resume or store is not None,
-        retry=RetryPolicy(max_attempts=max(1, args.retries + 1)),
-        timeout_s=args.timeout,
-        strict=args.strict,
-    )
-
-
 def cmd_sweep(args) -> int:
     """Compare mapping policies as one fault-tolerant campaign.
 
@@ -337,115 +367,70 @@ def cmd_sweep(args) -> int:
     configured (``--store``/``--resume``); Ctrl-C flushes what finished
     and prints the partial report instead of a traceback.
     """
-    from dataclasses import replace as dc_replace
-
-    from repro.obs import ProgressLine, Tracer
-    from repro.sim.sweeps import run_task_campaign
-
     if args.machines:
         return _cmd_sweep_geometries(args)
 
     config = _make_config(args)
     labels = args.policies.split(",")
+    # "cdpc" is --policy plus CDPC; any other label names the native policy.
     tasks = [
-        (args.workload, config, _options_for(label, args)) for label in labels
+        (args.workload, config, _engine_options(
+            args, **({"cdpc": True} if label == "cdpc" else {"policy": label})
+        ))
+        for label in labels
     ]
-    tracer = Tracer() if args.trace_out else None
-    progress = ProgressLine(label="sweep", force=args.progress)
-    campaign = dc_replace(
-        _campaign_options(args), tracer=tracer, on_progress=progress.update
-    )
-    try:
+    with _campaign(args, "sweep") as campaign:
         outcome = run_task_campaign(
             tasks, max_workers=args.workers, campaign=campaign
         )
-    except KeyboardInterrupt:
-        # strict mode re-raises after flushing completed results.
-        progress.finish()
-        print("\nrepro sweep: interrupted", file=sys.stderr)
-        return 130
-    finally:
-        progress.finish()
-    report = outcome.report
-
-    if args.metrics_out or args.trace_out:
-        from repro.harness.campaign import campaign_obs_report
-
-        _write_obs_outputs(args, campaign_obs_report(outcome, tracer=tracer) or {})
-
-    rows = []
-    payload: dict = {}
-    for label, result in zip(labels, outcome.results):
-        if result is None:
-            continue
-        rows.append(_result_row(label, result))
-        payload[label] = result.to_dict()
+    completed = [
+        (label, result)
+        for label, result in zip(labels, outcome.results)
+        if result is not None
+    ]
     if args.json:
-        payload["campaign"] = report.to_dict()
+        payload: dict = {label: result.to_dict() for label, result in completed}
+        payload["campaign"] = outcome.report.to_dict()
         print(json.dumps(payload, indent=2))
     else:
-        if rows:
-            print(
-                render_table(
-                    ["policy", "wall ms", "MCPI", "conflict", "capacity", "bus"],
-                    rows,
-                )
-            )
+        if completed:
             from repro.analysis.figures import grouped_bar_chart
 
+            print(render_table(
+                ["policy", *_RESULT_COLUMNS],
+                [_result_row(label, result) for label, result in completed],
+            ))
             cells = {
                 args.machine: {
-                    label: result.wall_ns / 1e6
-                    for label, result in zip(labels, outcome.results)
-                    if result is not None
+                    label: result.wall_ns / 1e6 for label, result in completed
                 }
             }
             print()
             print(grouped_bar_chart(cells, unit="ms"))
-        print(f"\ncampaign: {report.summary()}")
-        for failure in report.failures:
-            print(
-                f"  FAILED {failure.label}: {failure.kind} "
-                f"after {failure.attempts} attempt(s) {failure.message}",
-                file=sys.stderr,
-            )
-    if report.interrupted:
-        return 130
-    return 0 if report.ok else 1
+        print(f"\ncampaign: {outcome.report.summary()}")
+    return _campaign_exit(args, outcome, campaign)
 
 
 def _cmd_sweep_geometries(args) -> int:
     """Cross-geometry policy comparison (``sweep --machines a,b,c``)."""
     from repro.analysis.geometry import compare_geometries
-    from repro.sim.engine import EngineOptions
-    from repro.sim.sweeps import STANDARD_POLICIES
 
     machines = args.machines.split(",")
-    unknown = sorted(set(machines) - set(_MACHINES))
+    unknown = sorted(set(machines) - set(MACHINE_FACTORIES))
     if unknown:
-        print(
-            f"repro sweep: unknown machine(s): {', '.join(unknown)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(f"unknown machine(s): {', '.join(unknown)}")
     labels = args.policies.split(",")
     bad = [label for label in labels if label not in STANDARD_POLICIES]
     if bad:
-        print(
-            f"repro sweep: --machines supports the standard policy labels "
-            f"({', '.join(STANDARD_POLICIES)}); got {', '.join(bad)}",
-            file=sys.stderr,
+        raise UsageError(
+            f"--machines supports the standard policy labels "
+            f"({', '.join(STANDARD_POLICIES)}); got {', '.join(bad)}"
         )
-        return 2
     # ``alpha`` is a CLI alias, not a preset name the analysis layer knows.
     machines = ["alpha_server" if name == "alpha" else name for name in machines]
-    base = EngineOptions(
-        prefetch=args.prefetch,
-        aligned=not args.unaligned,
-        profile=SimProfile.fast() if args.fast else SimProfile(),
-        obs=_obs_config(args),
-    )
-    try:
+    # The standard labels decide the policy and CDPC; --cdpc does not apply.
+    base = _engine_options(args, cdpc=False)
+    with _campaign(args, "sweep") as campaign:
         comparison = compare_geometries(
             args.workload,
             machines,
@@ -454,12 +439,8 @@ def _cmd_sweep_geometries(args) -> int:
             scale=args.scale,
             options=base,
             max_workers=args.workers,
-            campaign=_campaign_options(args),
+            campaign=campaign,
         )
-    except KeyboardInterrupt:
-        print("\nrepro sweep: interrupted", file=sys.stderr)
-        return 130
-    report = comparison.campaign.report
     if args.json:
         print(json.dumps(comparison.to_dict(), indent=2))
     else:
@@ -467,25 +448,11 @@ def _cmd_sweep_geometries(args) -> int:
             [machine, policy, *_result_row(policy, result)[1:]]
             for (machine, policy), result in comparison.results.items()
         ]
-        print(
-            render_table(
-                ["machine", "policy", "wall ms", "MCPI", "conflict",
-                 "capacity", "bus"],
-                rows,
-            )
-        )
+        print(render_table(["machine", "policy", *_RESULT_COLUMNS], rows))
         print()
         print(comparison.figure())
-        print(f"\ncampaign: {report.summary()}")
-        for failure in report.failures:
-            print(
-                f"  FAILED {failure.label}: {failure.kind} "
-                f"after {failure.attempts} attempt(s) {failure.message}",
-                file=sys.stderr,
-            )
-    if report.interrupted:
-        return 130
-    return 0 if report.ok else 1
+        print(f"\ncampaign: {comparison.campaign.report.summary()}")
+    return _campaign_exit(args, comparison.campaign, campaign)
 
 
 def _scenario_spec(args):
@@ -519,9 +486,9 @@ def cmd_scenario(args) -> int:
 
     ``run`` executes one scenario (a preset or a ``--spec`` JSON file)
     across the three comparison modes; ``sweep`` executes several presets
-    as one crash-safe campaign.  Both inherit the sweep command's
-    durability flags (``--store``/``--resume``/``--retries``/
-    ``--timeout``/``--strict``).
+    as one crash-safe campaign.  Both take the sweep command's campaign
+    flags (``--store``/``--resume``/``--retries``/``--timeout``/
+    ``--strict``).
     """
     if args.scenario_command == "list":
         from repro.scenarios import iter_presets
@@ -542,42 +509,17 @@ def cmd_scenario(args) -> int:
         ))
         return 0
 
-    from dataclasses import replace as dc_replace
-
-    from repro.obs import ProgressLine, Tracer
     from repro.scenarios import preset, run_scenario, scenario_tasks
-    from repro.sim.sweeps import run_task_campaign
 
     config = _make_config(args)
-    base = EngineOptions(
-        profile=SimProfile.fast() if args.fast else SimProfile(),
-        check_invariants=args.check_invariants,
-        obs=_obs_config(args),
-    )
-    tracer = Tracer() if args.trace_out else None
-    progress = ProgressLine(label="scenario", force=args.progress)
-    campaign = dc_replace(
-        _campaign_options(args), tracer=tracer, on_progress=progress.update
-    )
+    base = _engine_options(args)
 
     if args.scenario_command == "run":
         spec = _scenario_spec(args)
-        try:
+        with _campaign(args, "scenario") as campaign:
             report = run_scenario(
                 spec, config, options=base,
                 max_workers=args.workers, campaign=campaign,
-            )
-        except KeyboardInterrupt:
-            progress.finish()
-            print("\nrepro scenario: interrupted", file=sys.stderr)
-            return 130
-        finally:
-            progress.finish()
-        if args.metrics_out or args.trace_out:
-            from repro.harness.campaign import campaign_obs_report
-
-            _write_obs_outputs(
-                args, campaign_obs_report(report.campaign, tracer=tracer) or {}
             )
         if args.json:
             print(json.dumps(report.to_dict(), indent=2))
@@ -591,12 +533,8 @@ def cmd_scenario(args) -> int:
             print(render_table(_SCENARIO_COLUMNS, rows))
             print()
             print(report.figure(width=args.width))
-            summary = report.campaign.report
-            print(f"\ncampaign: {summary.summary()}")
-        summary = report.campaign.report
-        if summary.interrupted:
-            return 130
-        return 0 if summary.ok else 1
+            print(f"\ncampaign: {report.campaign.report.summary()}")
+        return _campaign_exit(args, report.campaign, campaign)
 
     # sweep: several presets, one campaign.
     specs = [preset(name.strip()) for name in args.scenarios.split(",")]
@@ -606,29 +544,22 @@ def cmd_scenario(args) -> int:
         mode_labels, spec_tasks = scenario_tasks(spec, config, options=base)
         labels.extend((spec.name, mode) for mode in mode_labels)
         tasks.extend(spec_tasks)
-    try:
+    with _campaign(args, "scenario") as campaign:
         outcome = run_task_campaign(
             tasks, max_workers=args.workers, campaign=campaign
         )
-    except KeyboardInterrupt:
-        progress.finish()
-        print("\nrepro scenario: interrupted", file=sys.stderr)
-        return 130
-    finally:
-        progress.finish()
-    if args.metrics_out or args.trace_out:
-        from repro.harness.campaign import campaign_obs_report
-
-        _write_obs_outputs(args, campaign_obs_report(outcome, tracer=tracer) or {})
-    report = outcome.report
+    completed = [
+        (scenario, mode, result)
+        for (scenario, mode), result in zip(labels, outcome.results)
+        if result is not None
+    ]
     if args.json:
         payload: dict = {
             "scenarios": {
                 f"{scenario}/{mode}": result.to_dict()
-                for (scenario, mode), result in zip(labels, outcome.results)
-                if result is not None
+                for scenario, mode, result in completed
             },
-            "campaign": report.to_dict(),
+            "campaign": outcome.report.to_dict(),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -637,54 +568,17 @@ def cmd_scenario(args) -> int:
                 scenario, mode, result,
                 result.degradation.to_dict() if result.degradation else None,
             )
-            for (scenario, mode), result in zip(labels, outcome.results)
-            if result is not None
+            for scenario, mode, result in completed
         ]
         print(render_table(_SCENARIO_COLUMNS, rows))
-        print(f"\ncampaign: {report.summary()}")
-        for failure in report.failures:
-            print(
-                f"  FAILED {failure.label}: {failure.kind} "
-                f"after {failure.attempts} attempt(s) {failure.message}",
-                file=sys.stderr,
-            )
-    if report.interrupted:
-        return 130
-    return 0 if report.ok else 1
+        print(f"\ncampaign: {outcome.report.summary()}")
+    return _campaign_exit(args, outcome, campaign)
 
 
 def compile_horizon(spec) -> int:
     from repro.scenarios import compile_churn
 
     return compile_churn(spec).horizon
-
-
-def cmd_runfile(args) -> int:
-    from repro.compiler.frontend import parse_program
-
-    with open(args.file) as handle:
-        program = parse_program(handle.read())
-    # Workload files declare full-scale sizes; scale them to the machine.
-    program = program.scaled(args.scale)
-    config = _make_config(args)
-    options = EngineOptions(
-        policy=args.policy,
-        cdpc=args.cdpc,
-        prefetch=args.prefetch,
-        aligned=not args.unaligned,
-        profile=SimProfile.fast() if args.fast else SimProfile(),
-    )
-    result = run_program(program, config, options)
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
-        return 0
-    print(
-        render_table(
-            ["config", "wall ms", "MCPI", "conflict", "capacity", "bus"],
-            [_result_row(result.label(), result)],
-        )
-    )
-    return 0
 
 
 def _degradation_rows(report) -> list[list]:
@@ -729,16 +623,12 @@ def cmd_faults(args) -> int:
             race_storm=args.race_storm,
         )
     except ValueError as exc:
-        print(f"repro faults: error: {exc}", file=sys.stderr)
-        return 2
-    options = EngineOptions(
-        policy=args.policy,
+        raise UsageError(exc) from None
+    options = _engine_options(
+        args,
         cdpc=not args.no_cdpc,
-        prefetch=args.prefetch,
-        aligned=not args.unaligned,
         profile=SimProfile() if args.full else SimProfile.fast(),
         fault_plan=plan,
-        check_invariants=args.check_invariants,
         hint_watchdog=args.watchdog,
         # Amplified fault races need a seeded bin-hopping RNG to matter.
         race_seed=args.seed if args.race_storm > 0 else None,
@@ -750,12 +640,7 @@ def cmd_faults(args) -> int:
         payload["fault_plan"] = plan.to_dict()
         print(json.dumps(payload, indent=2))
         return 0
-    print(
-        render_table(
-            ["config", "wall ms", "MCPI", "conflict", "capacity", "bus"],
-            [_result_row(result.label(), result)],
-        )
-    )
+    _print_result(result)
     print(f"\nhint honor rate: {result.hint_honor_rate:.3f}")
     print("\ndegradation report:")
     print(render_table(["event", "value"], _degradation_rows(result.degradation)))
@@ -769,9 +654,7 @@ def cmd_obs_check(args) -> int:
     from repro.obs import validate_metrics_file, validate_trace_file
 
     if not args.metrics and not args.trace:
-        print("repro obs-check: error: pass --metrics and/or --trace",
-              file=sys.stderr)
-        return 2
+        raise UsageError("pass --metrics and/or --trace")
     status = 0
     for label, path, check in (
         ("metrics", args.metrics, validate_metrics_file),
@@ -801,13 +684,10 @@ def cmd_bench(args) -> int:
     )
     for name in workloads:
         if name not in WORKLOAD_NAMES:
-            print(f"repro bench: error: unknown workload {name!r}", file=sys.stderr)
-            return 2
-    options = EngineOptions(
-        profile=SimProfile.fast() if args.fast else SimProfile(),
-    )
+            raise UsageError(f"unknown workload {name!r}")
     payload = run_bench(
-        config, workloads, options=options, max_workers=args.workers
+        config, workloads, options=_engine_options(args),
+        max_workers=args.workers,
     )
     write_bench(payload, args.output)
     ref = payload["reference"]
@@ -1072,6 +952,78 @@ def cmd_loadgen(args) -> int:
     return 0
 
 
+def _add_machine_flags(p, cpus: int = 8) -> None:
+    p.add_argument("--cpus", type=int, default=cpus,
+                   help=f"processor count (default {cpus})")
+    p.add_argument("--machine", choices=sorted(MACHINE_FACTORIES),
+                   default="sgi_base")
+    p.add_argument("--scale", type=int, default=16,
+                   help="geometric scale factor (default 16)")
+
+
+def _add_run_flags(p) -> None:
+    """Machine, policy and profile flags of the verbs that simulate one run."""
+    _add_machine_flags(p)
+    p.add_argument("--policy", default="page_coloring", choices=NATIVE_POLICIES)
+    p.add_argument("--cdpc", action="store_true")
+    p.add_argument("--prefetch", action="store_true")
+    p.add_argument("--unaligned", action="store_true")
+    p.add_argument("--fast", action="store_true",
+                   help="single-sweep fast simulation profile")
+    p.add_argument("--json", action="store_true",
+                   help="emit the result as JSON instead of a table")
+
+
+def _add_obs_flags(p) -> None:
+    p.add_argument(
+        "--metrics-out", default=None, metavar="FILE",
+        help="write the run's metric-registry snapshot as JSON "
+        "(repro.obs.metrics/v1)",
+    )
+    p.add_argument(
+        "--trace-out", default=None, metavar="FILE",
+        help="write span trace events as chrome://tracing JSON "
+        "(repro.obs.trace/v1)",
+    )
+
+
+def _add_campaign_flags(p) -> None:
+    """Durability flags of the verbs that run a harness campaign."""
+    p.add_argument(
+        "--progress", action="store_true",
+        help="force the live progress line even when stderr is not a TTY",
+    )
+    p.add_argument(
+        "--resume", action="store_true",
+        help="persist completed runs durably and skip any already in the "
+        f"store (default store: {DEFAULT_STORE})",
+    )
+    p.add_argument(
+        "--store", default=None, metavar="DIR",
+        help="result-store directory (implies result persistence; "
+        "completed runs are written atomically as they finish)",
+    )
+    p.add_argument(
+        "--workers", type=int, default=None,
+        help="process-pool size (default: CPUs this process may use)",
+    )
+    p.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="per-run wall-clock deadline; hung workers are killed and "
+        "the run retried (parallel mode only)",
+    )
+    p.add_argument(
+        "--retries", type=int, default=2,
+        help="retries per run after a crash or timeout (default 2)",
+    )
+    p.add_argument(
+        "--strict", action="store_true",
+        help="fail fast on the first unrecoverable run failure instead "
+        "of reporting the completed subset",
+    )
+    _add_obs_flags(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1081,51 +1033,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the SPEC95fp workload models")
 
-    def add_common(p):
-        p.add_argument("workload", choices=WORKLOAD_NAMES)
-        p.add_argument("--cpus", type=int, default=8)
-        p.add_argument("--machine", choices=sorted(_MACHINES), default="sgi_base")
-        p.add_argument("--scale", type=int, default=16,
-                       help="geometric scale factor (default 16)")
-        p.add_argument("--policy", default="page_coloring",
-                       choices=["page_coloring", "bin_hopping"])
-        p.add_argument("--cdpc", action="store_true")
-        p.add_argument("--prefetch", action="store_true")
-        p.add_argument("--unaligned", action="store_true")
-        p.add_argument("--fast", action="store_true",
-                       help="single-sweep fast simulation profile")
-        p.add_argument("--json", action="store_true",
-                       help="emit the result as JSON instead of a table")
-
-    def add_obs(p):
-        p.add_argument(
-            "--metrics-out", default=None, metavar="FILE",
-            help="write the run's metric-registry snapshot as JSON "
-            "(repro.obs.metrics/v1)",
-        )
-        p.add_argument(
-            "--trace-out", default=None, metavar="FILE",
-            help="write span trace events as chrome://tracing JSON "
-            "(repro.obs.trace/v1)",
-        )
-
     run_parser = sub.add_parser("run", help="run one configuration")
-    add_common(run_parser)
-    add_obs(run_parser)
-    run_parser.add_argument(
-        "--static-check", action="store_true",
-        help="cross-validate the run against the symbolic miss "
-        "prediction; nonzero exit if any measured miss component "
-        "escapes its predicted interval",
+    run_parser.add_argument("workload", choices=WORKLOAD_NAMES)
+    file_parser = sub.add_parser(
+        "runfile", help="run a workload described in the text format"
     )
+    file_parser.add_argument("file")
+    for p in (run_parser, file_parser):
+        _add_run_flags(p)
+        _add_obs_flags(p)
+        p.add_argument(
+            "--static-check", action="store_true",
+            help="cross-validate the run against the symbolic miss "
+            "prediction; nonzero exit if any measured miss component "
+            "escapes its predicted interval",
+        )
 
     sweep_parser = sub.add_parser("sweep", help="compare mapping policies")
-    add_common(sweep_parser)
-    add_obs(sweep_parser)
-    sweep_parser.add_argument(
-        "--progress", action="store_true",
-        help="force the live progress line even when stderr is not a TTY",
-    )
+    sweep_parser.add_argument("workload", choices=WORKLOAD_NAMES)
+    _add_run_flags(sweep_parser)
+    _add_campaign_flags(sweep_parser)
     sweep_parser.add_argument(
         "--policies", default="page_coloring,bin_hopping,cdpc",
         help="comma-separated: page_coloring, bin_hopping, cdpc",
@@ -1135,34 +1062,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated machine presets for a cross-geometry "
         "comparison (e.g. sgi_base,sliced_llc_8x,three_level); renders "
         "one policy-comparison block per geometry",
-    )
-    sweep_parser.add_argument(
-        "--resume", action="store_true",
-        help="persist completed runs durably and skip any already in the "
-        f"store (default store: {DEFAULT_STORE})",
-    )
-    sweep_parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result-store directory (implies result persistence; "
-        "completed runs are written atomically as they finish)",
-    )
-    sweep_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: CPUs this process may use)",
-    )
-    sweep_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-run wall-clock deadline; hung workers are killed and "
-        "the run retried (parallel mode only)",
-    )
-    sweep_parser.add_argument(
-        "--retries", type=int, default=2,
-        help="retries per run after a crash or timeout (default 2)",
-    )
-    sweep_parser.add_argument(
-        "--strict", action="store_true",
-        help="fail fast on the first unrecoverable run failure instead "
-        "of reporting the completed subset",
     )
 
     lint_parser = sub.add_parser(
@@ -1178,12 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--file", default=None,
         help="lint a workload described in the text format instead",
     )
-    lint_parser.add_argument("--cpus", type=int, default=16,
-                             help="processor count to check against (default 16)")
-    lint_parser.add_argument("--machine", choices=sorted(_MACHINES),
-                             default="sgi_base")
-    lint_parser.add_argument("--scale", type=int, default=16,
-                             help="geometric scale factor (default 16)")
+    _add_machine_flags(lint_parser, cpus=16)
     lint_parser.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="output format (json is stable-ordered for CI diffing)",
@@ -1214,11 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*WORKLOAD_NAMES, "all"],
         help="bundled workload to predict, or 'all' (default)",
     )
-    predict_parser.add_argument("--cpus", type=int, default=8)
-    predict_parser.add_argument("--machine", choices=sorted(_MACHINES),
-                                default="sgi_base")
-    predict_parser.add_argument("--scale", type=int, default=16,
-                                help="geometric scale factor (default 16)")
+    _add_machine_flags(predict_parser)
     predict_parser.add_argument(
         "--policies", default="page_coloring,bin_hopping,cdpc",
         help="comma-separated policy labels to predict "
@@ -1240,7 +1130,8 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="run one configuration under deterministic fault injection",
     )
-    add_common(faults_parser)
+    faults_parser.add_argument("workload", choices=WORKLOAD_NAMES)
+    _add_run_flags(faults_parser)
     faults_parser.add_argument(
         "--pressure", type=float, default=0.0,
         help="peak fraction of free frames seized by competing address spaces",
@@ -1291,11 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="time the Figure 6 policy sweep on both engine paths and "
         "write BENCH_engine.json",
     )
-    bench_parser.add_argument("--cpus", type=int, default=8)
-    bench_parser.add_argument("--machine", choices=sorted(_MACHINES),
-                              default="sgi_base")
-    bench_parser.add_argument("--scale", type=int, default=16,
-                              help="geometric scale factor (default 16)")
+    _add_machine_flags(bench_parser)
     bench_parser.add_argument(
         "--workloads", default="all",
         help="comma-separated workload names, or 'all' (default)",
@@ -1323,57 +1210,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scn_sub.add_parser("list", help="list the scenario presets")
 
-    def add_scenario_common(p):
-        p.add_argument("--cpus", type=int, default=8)
-        p.add_argument("--machine", choices=sorted(_MACHINES),
-                       default="sgi_base")
-        p.add_argument("--scale", type=int, default=16,
-                       help="geometric scale factor (default 16)")
-        p.add_argument("--fast", action="store_true",
-                       help="single-sweep fast simulation profile")
-        p.add_argument("--json", action="store_true",
-                       help="emit the report as JSON instead of tables")
-        p.add_argument(
-            "--progress", action="store_true",
-            help="force the live progress line even when stderr is not a TTY",
-        )
-        p.add_argument(
-            "--resume", action="store_true",
-            help="persist completed runs durably and skip any already in "
-            f"the store (default store: {DEFAULT_STORE})",
-        )
-        p.add_argument(
-            "--store", default=None, metavar="DIR",
-            help="result-store directory (implies result persistence)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="process-pool size (default: CPUs this process may use)",
-        )
-        p.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
-            help="per-run wall-clock deadline (parallel mode only)",
-        )
-        p.add_argument(
-            "--retries", type=int, default=2,
-            help="retries per run after a crash or timeout (default 2)",
-        )
-        p.add_argument(
-            "--strict", action="store_true",
-            help="fail fast on the first unrecoverable run failure",
-        )
-        p.add_argument(
-            "--check-invariants", action="store_true",
-            help="verify page-table/physmem invariants after init and "
-            "every epoch of every mode",
-        )
-        add_obs(p)
+    from repro.scenarios import PRESETS
 
     scn_run = scn_sub.add_parser(
         "run", help="run one scenario across the comparison modes"
     )
-    from repro.scenarios import PRESETS
-
     scn_run.add_argument(
         "name", nargs="?", default="smoke", choices=sorted(PRESETS),
         help="scenario preset name (default smoke; see 'scenario list')",
@@ -1386,8 +1227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--width", type=int, default=40,
         help="bar width of the churn figure (default 40)",
     )
-    add_scenario_common(scn_run)
-
     scn_sweep = scn_sub.add_parser(
         "sweep", help="run several scenario presets as one campaign"
     )
@@ -1395,7 +1234,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenarios", default="smoke,churn",
         help="comma-separated preset names (default: smoke,churn)",
     )
-    add_scenario_common(scn_sweep)
+    for p in (scn_run, scn_sweep):
+        _add_machine_flags(p)
+        p.add_argument("--fast", action="store_true",
+                       help="single-sweep fast simulation profile")
+        p.add_argument("--json", action="store_true",
+                       help="emit the report as JSON instead of tables")
+        p.add_argument(
+            "--check-invariants", action="store_true",
+            help="verify page-table/physmem invariants after init and "
+            "every epoch of every mode",
+        )
+        _add_campaign_flags(p)
 
     obs_parser = sub.add_parser(
         "obs-check",
@@ -1441,7 +1291,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="retries per task after crash/timeout (default 2)")
         p.add_argument("--store", default=None, metavar="DIR",
                        help="durable result store (answers survive restarts)")
-        add_obs(p)
+        _add_obs_flags(p)
 
     serve_parser = sub.add_parser(
         "serve",
@@ -1517,22 +1367,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_parser.add_argument("--json", action="store_true",
                                 help="emit the full loadgen report as JSON")
     add_service_common(loadgen_parser)
-
-    file_parser = sub.add_parser(
-        "runfile", help="run a workload described in the text format"
-    )
-    file_parser.add_argument("file")
-    file_parser.add_argument("--cpus", type=int, default=8)
-    file_parser.add_argument("--machine", choices=sorted(_MACHINES),
-                             default="sgi_base")
-    file_parser.add_argument("--scale", type=int, default=16)
-    file_parser.add_argument("--policy", default="page_coloring",
-                             choices=["page_coloring", "bin_hopping"])
-    file_parser.add_argument("--cdpc", action="store_true")
-    file_parser.add_argument("--prefetch", action="store_true")
-    file_parser.add_argument("--unaligned", action="store_true")
-    file_parser.add_argument("--fast", action="store_true")
-    file_parser.add_argument("--json", action="store_true")
     return parser
 
 
@@ -1542,7 +1376,7 @@ def main(argv=None) -> int:
         "list": cmd_list,
         "run": cmd_run,
         "sweep": cmd_sweep,
-        "runfile": cmd_runfile,
+        "runfile": cmd_run,
         "faults": cmd_faults,
         "bench": cmd_bench,
         "lint": cmd_lint,
@@ -1554,10 +1388,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except UsageError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
-        # Uniform interrupt discipline: every verb exits 130 on ^C.
-        # (sweep/scenario/serve catch it earlier to publish partial
-        # results or drain cleanly, then return 130 themselves.)
+        # Uniform interrupt discipline: every verb exits 130 on ^C.  A
+        # non-strict campaign returns its partial results with exit 130
+        # itself; serve drains before returning.
         print(f"repro {args.command}: interrupted", file=sys.stderr)
         return 130
 

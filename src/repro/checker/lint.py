@@ -25,22 +25,6 @@ from repro.core.coloring import ColoringResult, generate_page_colors
 from repro.machine.config import MachineConfig
 
 
-def _group_pairs(program: Program) -> list[tuple[str, str]]:
-    """Group-access pairs for the layout pass (mirrors the engine)."""
-    pairs: list[tuple[str, str]] = []
-    seen: set[frozenset[str]] = set()
-    for phase in program.phases:
-        for loop in phase.loops:
-            names = loop.array_names()
-            for i, a in enumerate(names):
-                for b in names[i + 1 :]:
-                    key = frozenset((a, b))
-                    if key not in seen:
-                        seen.add(key)
-                        pairs.append((a, b))
-    return pairs
-
-
 def lint_context(
     program: Program,
     config: MachineConfig,
@@ -61,7 +45,7 @@ def lint_context(
             config.l2.line_size,
             config.l1d.size,
             aligned=aligned,
-            groups=_group_pairs(program),
+            groups=program.group_pairs(),
         )
     if summary is None:
         summary = extract_summary(program, layout)

@@ -1648,7 +1648,6 @@ def predict_program(
     cpus = num_cpus if num_cpus is not None else config.num_cpus
     prof = profile if profile is not None else SimProfile()
     if layout is None:
-        from repro.checker.lint import _group_pairs
         from repro.compiler.padding import layout_arrays
 
         layout = layout_arrays(
@@ -1656,7 +1655,7 @@ def predict_program(
             config.l2.line_size,
             config.l1d.size,
             aligned=True,
-            groups=_group_pairs(program),
+            groups=program.group_pairs(),
         )
     if cdpc and coloring is None:
         from repro.compiler.summaries import extract_summary

@@ -268,6 +268,25 @@ class Program:
                 return decl
         raise KeyError(name)
 
+    def group_pairs(self) -> list[tuple[str, str]]:
+        """Array pairs accessed in a common loop, for the layout pass.
+
+        First-seen order, one entry per unordered pair: the padding pass
+        offsets each pair's bases so they do not collide in the L1.
+        """
+        pairs: list[tuple[str, str]] = []
+        seen: set[frozenset[str]] = set()
+        for phase in self.phases:
+            for loop in phase.loops:
+                names = loop.array_names()
+                for i, a in enumerate(names):
+                    for b in names[i + 1 :]:
+                        key = frozenset((a, b))
+                        if key not in seen:
+                            seen.add(key)
+                            pairs.append((a, b))
+        return pairs
+
     def effective_init_groups(self) -> tuple[tuple[str, ...], ...]:
         if self.init_groups:
             return self.init_groups

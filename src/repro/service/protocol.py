@@ -37,8 +37,8 @@ __all__ = [
     "Status",
 ]
 
-#: Machine models a request may name (mirrors the CLI's ``--machine``):
-#: every preset geometry, plus the CLI's historical ``alpha`` alias.
+#: Machine models a request or the CLI's ``--machine`` may name: every
+#: preset geometry, plus the historical ``alpha`` alias.
 MACHINE_FACTORIES: dict[str, Callable[[int], MachineConfig]] = {
     **{name: preset for name, preset in MACHINE_PRESETS.items()},
     "alpha": alpha_server,

@@ -81,7 +81,6 @@ from repro.sim.tracegen import (
 from repro.sim.windows import occurrence_variation, representative_window
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.checker.diagnostics import LintReport
     from repro.checker.staticmiss import StaticMissProfile
     from repro.osmodel.dynamic import AdaptiveCdpc, DynamicRecolorer
     from repro.scenarios.churn import ChurnDriver, ChurnSchedule
@@ -99,13 +98,26 @@ _ADAPTIVE_MAX_REPLANS = 4
 _ADAPTIVE_COLLAPSE_RATIO = 0.8
 
 
+#: The native OS page-mapping policies: IRIX page coloring and Digital
+#: UNIX bin hopping.
+NATIVE_POLICIES = ("page_coloring", "bin_hopping")
+#: How CDPC hints reach the OS (Section 5.3): the madvise extension, the
+#: touch order, or ``auto``, the one the native policy's OS uses.
+CDPC_DELIVERIES = ("auto", "madvise", "touch")
+
+
 @dataclass(frozen=True)
 class EngineOptions:
-    """Configuration of one benchmark run."""
+    """Configuration of one benchmark run.
 
-    policy: str = "page_coloring"  # native OS policy: page_coloring | bin_hopping
+    Construction is the only legality check: :meth:`__post_init__` raises
+    ``ValueError``, naming the fields, for any combination the engine
+    would otherwise ignore or reject part-way through a run.
+    """
+
+    policy: str = "page_coloring"  # native OS policy, one of NATIVE_POLICIES
     cdpc: bool = False
-    cdpc_delivery: str = "auto"  # madvise | touch | auto
+    cdpc_delivery: str = "auto"  # one of CDPC_DELIVERIES
     prefetch: bool = False
     aligned: bool = True
     profile: SimProfile = field(default_factory=SimProfile)
@@ -118,7 +130,8 @@ class EngineOptions:
     #: page recoloring, inspected at every phase boundary.
     dynamic_recolor: bool = False
     #: The paper's footnote-1 extension: prefetches fill missing TLB
-    #: entries instead of being dropped (Section 6.2).
+    #: entries instead of being dropped (Section 6.2).  Requires
+    #: ``prefetch``.
     prefetch_fills_tlb: bool = False
     recolor_threshold: int = 16
     recolor_max_per_step: int = 32
@@ -143,13 +156,14 @@ class EngineOptions:
     #: migrations) and keep going.  The adaptive watchdog is judged over
     #: a *window* of recent faults — checked after every hinted fault,
     #: not just at phase boundaries — so a mid-phase collapse is repaired
-    #: mid-phase.  Requires ``cdpc`` and ``hint_watchdog``.
+    #: mid-phase.  Requires ``cdpc`` and ``hint_watchdog``, which
+    #: construction checks.
     adaptive_cdpc: bool = False
     #: Times the measured window repeats (statistics are averaged over
     #: epochs, so results stay comparable across epoch counts).  Churn
     #: scenarios need many phase-boundary beats for their schedules to
     #: play out; a plain run keeps the default single epoch, which is
-    #: bit-identical to the historical behavior.
+    #: bit-identical to the historical behavior.  At least 1.
     epochs: int = 1
     #: Run the flattened fast runner (:func:`repro.machine.fast_path.
     #: loop_runner`): a vectorized hit filter that retires references
@@ -172,12 +186,10 @@ class EngineOptions:
     #: cache, reusing them across warmup/measured passes, repeated phase
     #: occurrences and runs with identical trace inputs.
     trace_cache: bool = True
-    #: Run the repro.checker static-analysis gate before simulating.  By
-    #: default it is warn-only: ERROR diagnostics emit a warning and the
-    #: run proceeds.
-    lint: bool = True
-    #: With ``strict=True`` the engine refuses to simulate a program with
-    #: ERROR-severity diagnostics, raising
+    #: Every run passes the repro.checker static-analysis gate before
+    #: simulating.  It is warn-only by default: ERROR diagnostics emit a
+    #: warning and the run proceeds.  With ``strict=True`` the engine
+    #: refuses to simulate such a program, raising
     #: :class:`repro.checker.LintError` instead.
     strict: bool = False
     #: Cross-validate the symbolic miss predictor against this run: build
@@ -186,8 +198,8 @@ class EngineOptions:
     #: profile's self-reported ``[lo, hi]`` interval, raising
     #: :class:`repro.checker.StaticCheckError` on any violation.  Only
     #: meaningful for configurations the predictor models (no prefetch,
-    #: faults, churn, pressure or dynamic recoloring); the
-    #: engine rejects unsupported combinations up front.
+    #: faults, churn, pressure or dynamic recoloring; the aligned layout
+    #: and the native CDPC delivery); construction rejects the others.
     static_check: bool = False
     #: Observability: metrics registry + span tracing + sampled hot-path
     #: profiling (:class:`repro.obs.ObsConfig`).  ``None`` (the default)
@@ -195,35 +207,77 @@ class EngineOptions:
     #: with observability on or off — instruments only read wall clocks.
     obs: Optional[ObsConfig] = None
 
+    def __post_init__(self) -> None:
+        if self.policy not in NATIVE_POLICIES:
+            raise ValueError(
+                f"policy must be one of {', '.join(NATIVE_POLICIES)}; "
+                f"got {self.policy!r}"
+            )
+        if self.cdpc_delivery not in CDPC_DELIVERIES:
+            raise ValueError(
+                f"cdpc_delivery must be one of {', '.join(CDPC_DELIVERIES)}; "
+                f"got {self.cdpc_delivery!r}"
+            )
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1; got {self.epochs}")
+        if self.adaptive_cdpc and not (self.cdpc and self.hint_watchdog is not None):
+            raise ValueError("adaptive_cdpc requires cdpc and hint_watchdog")
+        if self.prefetch_fills_tlb and not self.prefetch:
+            raise ValueError("prefetch_fills_tlb requires prefetch")
+        if not self.static_check:
+            return
+        # The symbolic predictor mirrors the deterministic trace/placement
+        # pipeline only; anything that perturbs placement or accounting at
+        # runtime would make the cross-validation gate meaningless, so it
+        # is an error rather than a silently vacuous check.
+        unsupported = [
+            name
+            for name, active in (
+                ("prefetch", self.prefetch),
+                ("dynamic_recolor", self.dynamic_recolor),
+                ("adaptive_cdpc", self.adaptive_cdpc),
+                ("churn", self.churn is not None),
+                ("fault_plan", self.fault_plan is not None),
+                ("memory_pressure", self.memory_pressure > 0),
+                ("hint_watchdog", self.hint_watchdog is not None),
+                ("race_seed", self.race_seed is not None),
+            )
+            if active
+        ]
+        if unsupported:
+            raise ValueError(
+                "static_check does not model these options: "
+                + ", ".join(unsupported)
+            )
+        if not self.aligned:
+            # The predictor counts at most one miss per line per sweep.
+            # The packed layout can put two arrays of one loop in the same
+            # set at the same offset, and then the two references to a
+            # line each miss.
+            raise ValueError(
+                "static_check models the aligned layout only; got aligned=False"
+            )
+        if self.cdpc:
+            expected = "touch" if self.policy == "bin_hopping" else "madvise"
+            if self.resolved_delivery() != expected:
+                raise ValueError(
+                    "static_check models the native CDPC delivery only "
+                    f"({expected!r} on {self.policy!r}; got "
+                    f"cdpc_delivery={self.resolved_delivery()!r})"
+                )
+
     def resolved_delivery(self) -> str:
         if self.cdpc_delivery != "auto":
             return self.cdpc_delivery
         return "touch" if self.policy == "bin_hopping" else "madvise"
 
 
-def _loop_group_pairs(program: Program) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
-    seen: set[frozenset[str]] = set()
-    for phase in program.phases:
-        for loop in phase.loops:
-            names = loop.array_names()
-            for i, a in enumerate(names):
-                for b in names[i + 1 :]:
-                    key = frozenset((a, b))
-                    if key not in seen:
-                        seen.add(key)
-                        pairs.append((a, b))
-    return pairs
-
-
 def _build_policy(config: MachineConfig, options: EngineOptions) -> MappingPolicy:
     colors = config.num_colors
-    if options.policy == "page_coloring":
-        native: MappingPolicy = PageColoringPolicy(colors)
-    elif options.policy == "bin_hopping":
-        native = BinHoppingPolicy(colors, race_seed=options.race_seed)
+    if options.policy == "bin_hopping":
+        native: MappingPolicy = BinHoppingPolicy(colors, race_seed=options.race_seed)
     else:
-        raise ValueError(f"unknown native policy {options.policy!r}")
+        native = PageColoringPolicy(colors)
     if options.cdpc and options.resolved_delivery() == "madvise":
         return CdpcHintPolicy(colors, fallback=native)
     return native
@@ -240,14 +294,13 @@ class _Simulation:
         self.obs = Observability.from_config(options.obs)
         tracer = self.obs.tracer
 
-        groups = _loop_group_pairs(program)
         with tracer.span("compile.layout"):
             self.layout = layout_arrays(
                 program.arrays,
                 config.l2.line_size,
                 config.l1d.size,
                 aligned=options.aligned,
-                groups=groups,
+                groups=program.group_pairs(),
             )
         with tracer.span("compile.summaries"):
             self.summary = extract_summary(program, self.layout)
@@ -296,14 +349,11 @@ class _Simulation:
                     self.summary, config, self.num_cpus
                 )
 
-        self.lint_report: Optional["LintReport"] = None
-        if options.lint:
-            with tracer.span("check.lint"):
-                self.lint_report = self._run_lint_gate()
+        with tracer.span("check.lint"):
+            self._run_lint_gate()
 
         self.static_profile: Optional["StaticMissProfile"] = None
         if options.static_check:
-            self._validate_static_check()
             from repro.checker.staticmiss import predict_program
 
             with tracer.span(
@@ -356,12 +406,6 @@ class _Simulation:
         self._honor_base_requests = 0
         self._honor_base_honored = 0
         self._honor_ref_rate: Optional[float] = None
-        # Whether the chunk hot loop runs the per-fault adaptive watchdog
-        # (see _fault_hook).
-        self._watch_faults = (
-            options.adaptive_cdpc and options.cdpc
-            and options.hint_watchdog is not None
-        )
         self._trace_cache = default_trace_cache() if options.trace_cache else None
         # One runner protocol, three runners: the layered reference path,
         # the scalar fast path, or the columnar kernel over it.  The init
@@ -417,7 +461,7 @@ class _Simulation:
 
     # ------------------------------------------------------------------
 
-    def _run_lint_gate(self) -> "LintReport":
+    def _run_lint_gate(self) -> None:
         """Pre-simulation static gate, reusing the artifacts just built.
 
         Warn-only by default: ERROR diagnostics emit a warning and the
@@ -453,51 +497,6 @@ class _Simulation:
                 f"{first.message}",
                 stacklevel=4,
             )
-        return report
-
-    def _validate_static_check(self) -> None:
-        """Reject option combinations the symbolic predictor cannot model.
-
-        The predictor mirrors the deterministic trace/placement pipeline
-        only; anything that perturbs placement or accounting at runtime
-        (faults, pressure, churn, recoloring, prefetch) would
-        make the cross-validation gate meaningless, so it is an error to
-        combine them rather than a silently vacuous check.
-        """
-        options = self.options
-        unsupported = [
-            name
-            for name, active in (
-                ("prefetch", options.prefetch),
-                ("dynamic_recolor", options.dynamic_recolor),
-                ("adaptive_cdpc", options.adaptive_cdpc),
-                ("churn", options.churn is not None),
-                ("fault_plan", options.fault_plan is not None),
-                ("memory_pressure", options.memory_pressure > 0),
-                ("hint_watchdog", options.hint_watchdog is not None),
-                ("race_seed", options.race_seed is not None),
-            )
-            if active
-        ]
-        if unsupported:
-            raise ValueError(
-                "static_check does not model these options: "
-                + ", ".join(unsupported)
-            )
-        if options.policy not in ("page_coloring", "bin_hopping"):
-            raise ValueError(
-                f"static_check does not model policy {options.policy!r}"
-            )
-        if options.cdpc:
-            expected = (
-                "touch" if options.policy == "bin_hopping" else "madvise"
-            )
-            if options.resolved_delivery() != expected:
-                raise ValueError(
-                    "static_check models the native CDPC delivery only "
-                    f"({expected!r} on {options.policy!r}; got "
-                    f"{options.resolved_delivery()!r})"
-                )
 
     def _frame_budget(self) -> int:
         psz = self.config.page_size
@@ -563,7 +562,7 @@ class _Simulation:
         threshold = self.options.hint_watchdog
         if threshold is None or self._watchdog_tripped or not self.options.cdpc:
             return
-        if self.options.adaptive_cdpc and self.runtime is not None:
+        if self.options.adaptive_cdpc:
             self._adaptive_check(threshold, boundary=True)
             return
         physmem = self.vm.physmem
@@ -602,7 +601,7 @@ class _Simulation:
         method is handed out per call, never stored on the simulation: a
         stored one would hold the simulation in a reference cycle.
         """
-        return self._watchdog_fault_hook if self._watch_faults else None
+        return self._watchdog_fault_hook if self.options.adaptive_cdpc else None
 
     def _watchdog_fault_hook(self) -> None:
         """Intra-phase adaptive watchdog, run after every hinted fault.
@@ -613,12 +612,8 @@ class _Simulation:
         fire mid-storm, while there is still unmapped demand to re-aim at
         surviving capacity.
         """
-        if self._watchdog_tripped or self.runtime is None:
-            return
-        threshold = self.options.hint_watchdog
-        if threshold is None:
-            return
-        self._adaptive_check(threshold)
+        if not self._watchdog_tripped:
+            self._adaptive_check(self.options.hint_watchdog)
 
     def _reset_honor_window(self) -> None:
         physmem = self.vm.physmem
@@ -714,14 +709,13 @@ class _Simulation:
 
     def deliver_cdpc(self) -> None:
         assert self.runtime is not None
-        delivery = self.options.resolved_delivery()
-        if delivery == "madvise":
+        if self.options.resolved_delivery() == "madvise":
             hints = self.runtime.hints
             if self.injector is not None:
                 hints = self.injector.filter_hints(hints)
             self.vm.madvise_colors(hints)
-        elif delivery == "touch":
-            # Serialized user-level faulting, charged to the master.
+        else:
+            # Touch: serialized user-level faulting, charged to the master.
             order = self.runtime.touch_order()
             if self.injector is not None:
                 order = self.injector.filter_touch_order(order)
@@ -732,8 +726,6 @@ class _Simulation:
                     t += self.vm.PAGE_FAULT_NS
                     stats.overhead_ns["kernel"] += self.vm.PAGE_FAULT_NS
             self._sync_clocks(t)
-        else:
-            raise ValueError(f"unknown CDPC delivery {delivery!r}")
 
     def init_pages_order(self) -> list[int]:
         """Page fault order of the program's initialization loops."""
@@ -1059,7 +1051,7 @@ class _Simulation:
         wall = 0.0
         bus_busy: dict[str, float] = {}
         phase_results: list[PhaseResult] = []
-        epochs = max(1, self.options.epochs)
+        epochs = self.options.epochs
         for epoch in range(epochs):
             for phase, weight in zip(window.measured, window.weights):
                 scaled_weight = weight / epochs

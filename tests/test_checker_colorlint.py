@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -284,12 +283,6 @@ class TestEngineGate:
         with pytest.warns(UserWarning, match="static analysis found"):
             result = run_program(racy_program(tiny_config), tiny_config, options)
         assert result.stats is not None
-
-    def test_lint_disabled_is_silent(self, tiny_config):
-        options = EngineOptions(profile=SimProfile.fast(), lint=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_program(racy_program(tiny_config), tiny_config, options)
 
     def test_clean_program_runs_quietly_in_strict_mode(self, tiny_config):
         arrays = (ArrayDecl("x", 16 * tiny_config.page_size),)

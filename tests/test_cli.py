@@ -93,6 +93,45 @@ class TestCommands:
         assert args.store is None  # filled with the default at run time
 
 
+class TestUsageErrors:
+    """Rejected option combinations exit 2 with one line, before any run."""
+
+    @staticmethod
+    def no_campaign(*_args, **_kwargs):
+        raise AssertionError("a rejected sweep must not start a campaign")
+
+    def test_static_check_with_prefetch(self, capsys):
+        code = main(["run", "fpppp", "--cpus", "2", "--fast",
+                     "--static-check", "--prefetch"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro run: error: static_check does not model these options: "
+            "prefetch"
+        ]
+
+    def test_unknown_sweep_policy(self, capsys, monkeypatch):
+        import repro.__main__ as cli
+
+        monkeypatch.setattr(cli, "run_task_campaign", self.no_campaign)
+        code = main(["sweep", "fpppp", "--cpus", "2", "--fast",
+                     "--policies", "page_coloring,fifo"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro sweep: error: policy ")
+        assert "'fifo'" in line
+
+    def test_unknown_geometry_sweep_machine(self, capsys):
+        code = main(["sweep", "fpppp", "--machines", "sgi_base,vax"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "repro sweep: error: unknown machine(s): vax"
+        ]
+
+
 class TestRunfile:
     WORKLOAD_TEXT = (
         "program demo\n"

@@ -149,7 +149,6 @@ class TestWitnessReplay:
     @pytest.mark.parametrize("preset", [sliced_llc_8x, three_level])
     def test_occupancy_witnesses_replay_through_simulator(self, preset):
         """A symbolic overflow witness is a real conflict on the machine."""
-        from repro.checker.lint import _group_pairs
         from repro.checker.staticmiss import (
             derive_static_plan,
             program_image,
@@ -162,7 +161,7 @@ class TestWitnessReplay:
         program = get_workload("tomcatv", scale=16).program
         layout = layout_arrays(
             program.arrays, config.l2.line_size, config.l1d.size,
-            aligned=True, groups=_group_pairs(program),
+            aligned=True, groups=program.group_pairs(),
         )
         image = program_image(program, layout, config, 4)
         plan = derive_static_plan(
