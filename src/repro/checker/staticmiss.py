@@ -35,7 +35,6 @@ Three layers, bottom to top:
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -46,7 +45,6 @@ from repro.compiler.ir import (
     Loop,
     LoopKind,
     PartitionedAccess,
-    Phase,
     Program,
     StridedAccess,
     WholeArrayAccess,
@@ -56,7 +54,15 @@ from repro.compiler.parallelize import LoopSchedule, schedule_loop
 from repro.core.coloring import ColoringResult
 from repro.machine.config import MachineConfig
 from repro.machine.stats import MissKind
-from repro.sim.tracegen import INSTRUCTION_BASE, SimProfile, occurrence_scale
+from repro.sim.tracegen import (
+    INSTRUCTION_BASE,
+    SimProfile,
+    frame_budget,
+    init_fault_order,
+    occurrence_scale,
+    text_base,
+    text_bytes,
+)
 
 __all__ = [
     "ConflictHotspot",
@@ -72,7 +78,6 @@ __all__ = [
     "StaticMissProfile",
     "StaticPlan",
     "conflict_summary",
-    "derive_frame_budget",
     "derive_static_plan",
     "instruction_pages",
     "loop_line_touches",
@@ -229,8 +234,9 @@ def access_stream_image(
     if isinstance(access, InstructionStream):
         sweeps = min(access.sweeps, profile.sweep_limit)
         fetch_stride = max(4, config.l1i.line_size // 2)
-        base = INSTRUCTION_BASE + 173 * config.page_size
-        progs = _bulk_progression(base, access.footprint_bytes, fetch_stride)
+        progs = _bulk_progression(
+            text_base(config.page_size), access.footprint_bytes, fetch_stride
+        )
         whole, prefix = _tile_counts(sum(p.count for p in progs), sweeps)
         return StreamImage(None, False, True, tuple(progs), whole, prefix)
 
@@ -508,36 +514,14 @@ def program_image(
 
 def instruction_pages(program: Program, config: MachineConfig) -> list[int]:
     """Virtual pages of the instruction footprint, in fault (ascending) order."""
-    footprint = 0
-    for phase in program.phases:
-        for loop in phase.loops:
-            for access in loop.accesses:
-                if isinstance(access, InstructionStream):
-                    footprint = max(footprint, access.footprint_bytes)
+    footprint = text_bytes(program)
     if footprint == 0:
         return []
     psz = config.page_size
-    base = INSTRUCTION_BASE + 173 * psz
+    base = text_base(psz)
     first = base // psz
     last = (base + footprint - 1) // psz
     return list(range(first, last + 1))
-
-
-def derive_frame_budget(
-    program: Program, layout: Layout, config: MachineConfig
-) -> int:
-    """Mirror of the engine's ``_frame_budget`` (3x footprint, color cycles)."""
-    psz = config.page_size
-    data_pages = -(-layout.total_bytes // psz)
-    instr_bytes = 0
-    for phase in program.phases:
-        for loop in phase.loops:
-            for access in loop.accesses:
-                if isinstance(access, InstructionStream):
-                    instr_bytes = max(instr_bytes, access.footprint_bytes)
-    pages = data_pages + -(-instr_bytes // psz)
-    colors = config.num_colors
-    return max(colors * 4, -(-pages * 3 // colors) * colors)
 
 
 @dataclass(frozen=True)
@@ -567,35 +551,6 @@ class StaticPlan:
             "explicit_pages": len(self.colors),
             "overflow_pages": list(self.overflow_pages),
         }
-
-
-def _init_pages_order(program: Program, layout: Layout, psz: int) -> list[int]:
-    """Mirror of the engine's ``init_pages_order`` (without jitter)."""
-    order: list[int] = []
-    for group in program.effective_init_groups():
-        page_lists = [list(layout.pages(name, psz)) for name in group]
-        longest = max(len(pages) for pages in page_lists) if page_lists else 0
-        for index in range(longest):
-            for pages in page_lists:
-                if index < len(pages):
-                    order.append(pages[index])
-    return order
-
-
-def _jitter_order(order: list[int], window: int, seed: int) -> list[int]:
-    """Mirror of the engine's ``_jitter``: windowed shuffles of the order.
-
-    The engine seeds ``random.Random(options.seed)`` at construction and
-    consumes it first (and only) here, so the same seed reproduces the
-    same jittered fault order.
-    """
-    rng = random.Random(seed)
-    result = list(order)
-    for start in range(0, len(result), window):
-        chunk = result[start : start + window]
-        rng.shuffle(chunk)
-        result[start : start + window] = chunk
-    return result
 
 
 def derive_static_plan(
@@ -650,10 +605,7 @@ def derive_static_plan(
     else:
         label = policy
     if policy == "bin_hopping":
-        order = _init_pages_order(program, layout, psz)
-        if init_jitter > 1:
-            order = _jitter_order(order, init_jitter, seed)
-        for vpage in order:
+        for vpage in init_fault_order(program, layout, psz, init_jitter, seed):
             if vpage in colors:
                 continue  # hinted or already faulted: the counter stays put
             colors[vpage] = counter % num_colors
@@ -665,10 +617,9 @@ def derive_static_plan(
 
     # Frame-pool overcommit check: the engine's budget gives each color
     # budget // C frames; demand above that spirals to neighbour colors.
-    budget = derive_frame_budget(program, layout, config)
-    supply = budget // num_colors
+    supply = frame_budget(program, layout, config) // num_colors
     demand: dict[int, list[int]] = {}
-    data_pages = _init_pages_order(program, layout, psz)
+    data_pages = init_fault_order(program, layout, psz, jitter=0, seed=0)
     for vpage in dict.fromkeys(data_pages + instr):
         color = colors.get(vpage, vpage % num_colors)
         demand.setdefault(color, []).append(vpage)

@@ -28,7 +28,7 @@ Access declarations carry precisely the facts SUIF's analyses establish:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.common import Communication, Direction, Partitioning
@@ -295,14 +295,37 @@ class Program:
         return (tuple(a.name for a in self.arrays),)
 
     def scaled(self, factor: int) -> "Program":
-        """Shrink every array by ``factor`` (phases unchanged)."""
+        """Shrink every byte size by ``factor``.
+
+        Arrays, cyclic blocks (never below 64 bytes) and instruction
+        footprints all shrink, so a program written at its reference size
+        keeps its footprint-to-cache ratios on a machine scaled by the
+        same factor.
+        """
         if factor == 1:
             return self
+        phases = tuple(
+            replace(phase, loops=tuple(
+                replace(loop, accesses=tuple(
+                    _scaled_access(access, factor) for access in loop.accesses
+                ))
+                for loop in phase.loops
+            ))
+            for phase in self.phases
+        )
         return Program(
             name=self.name,
             arrays=tuple(a.scaled(factor) for a in self.arrays),
-            phases=self.phases,
+            phases=phases,
             init_order=self.init_order,
             init_groups=self.init_groups,
             sequential_fraction=self.sequential_fraction,
         )
+
+
+def _scaled_access(access: Access, factor: int) -> Access:
+    if isinstance(access, StridedAccess):
+        return replace(access, block_bytes=max(64, access.block_bytes // factor))
+    if isinstance(access, InstructionStream):
+        return replace(access, footprint_bytes=access.footprint_bytes // factor)
+    return access

@@ -254,7 +254,7 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
             bus_tx[_UPGRADE],
         )
 
-    def wcoh(at_ns: float, paddr: int, pline: int) -> float:
+    def wcoh(at_ns: float, paddr: int, pline: int, vline: int) -> float:
         # Inline replica of MemorySystem._write_coherence.
         nonlocal bus_backlog, bus_last_update, bus_last_complete
         nonlocal busy_up, tx_up
@@ -283,8 +283,8 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                     all_l2[other].invalidate(pline)
                 if all_mid is not None:
                     all_mid[other].invalidate(pline)
-                all_l1d[other].invalidate(pline)
-                all_l1i[other].invalidate(pline)
+                all_l1d[other].invalidate(vline)
+                all_l1i[other].invalidate(vline)
                 pend[other] = pend.get(other, 0) | word_bit
         pend = pending_map.get(pline)
         if pend is not None:
@@ -664,7 +664,7 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
             # Write coherence (oracle: _write_coherence, called with the
             # clock advanced by the stall so far).
             if is_write:
-                stall += wcoh(t + stall, paddr, pline)
+                stall += wcoh(t + stall, paddr, pline, vline)
 
             t += busy_per_ref + stall + kernel_ns
             kernel_total += kernel_ns

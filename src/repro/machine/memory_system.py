@@ -187,7 +187,7 @@ class MemorySystem:
             else:
                 stats.l1d_hits += 1
             if is_write:
-                stall = self._write_coherence(cpu, time_ns, paddr, stats)
+                stall = self._write_coherence(cpu, time_ns, vaddr, paddr, stats)
                 return AccessResult(stall, kernel_ns, True, True, None)
             return AccessResult(0.0, kernel_ns, True, True, None)
 
@@ -220,7 +220,7 @@ class MemorySystem:
                 stall = self._mid_hit_ns
                 stats.l1_stall_ns += stall
                 if is_write:
-                    stall += self._write_coherence(cpu, time_ns + stall, paddr, stats)
+                    stall += self._write_coherence(cpu, time_ns + stall, vaddr, paddr, stats)
                 return stall, True, None
             # Fill the mid level on the way to the LLC; evictions are
             # silent (clean — dirty tracking lives at the coherence layer).
@@ -251,7 +251,7 @@ class MemorySystem:
             stall = self.config.l2_hit_ns + extra
             stats.l1_stall_ns += stall
             if is_write:
-                stall += self._write_coherence(cpu, time_ns + stall, paddr, stats)
+                stall += self._write_coherence(cpu, time_ns + stall, vaddr, paddr, stats)
             return stall, True, None
 
         kind = self._classify_miss(cpu, pline, paddr, shadow_hit)
@@ -270,7 +270,7 @@ class MemorySystem:
             self._handle_eviction(cpu, time_ns, evicted)
         self._sharers[pline] = self._sharers.get(pline, 0) | 1 << cpu
         if is_write:
-            latency += self._write_coherence(cpu, time_ns + latency, paddr, stats)
+            latency += self._write_coherence(cpu, time_ns + latency, vaddr, paddr, stats)
         return latency, False, kind
 
     def _classify_miss(
@@ -308,9 +308,16 @@ class MemorySystem:
         return queue_delay + base
 
     def _write_coherence(
-        self, cpu: int, time_ns: float, paddr: int, stats: CpuStats
+        self, cpu: int, time_ns: float, vaddr: int, paddr: int, stats: CpuStats
     ) -> float:
-        """Obtain exclusive ownership of a line for a write."""
+        """Obtain exclusive ownership of a line for a write.
+
+        The L1s are virtually indexed, so the other processors' copies
+        are dropped at the writer's virtual line: the workloads run as one
+        shared-address-space process, where a line has the same virtual
+        address on every processor.
+        """
+        vline = vaddr & self._line_mask
         pline = paddr & self._line_mask
         others = self._sharers.get(pline, 0) & ~(1 << cpu)
         # The writer ends up the line's only sharer.
@@ -330,7 +337,8 @@ class MemorySystem:
                     self._l2[other].invalidate(pline)
                 if self._mid is not None:
                     self._mid[other].invalidate(pline)
-                self._invalidate_l1(other, pline)
+                self._l1d[other].invalidate(vline)
+                self._l1i[other].invalidate(vline)
                 pending[other] = pending.get(other, 0) | word_bit
         # Accumulate this write into every pending mask for the line, so a
         # reader that stays away through several writes still sees the full
@@ -342,15 +350,6 @@ class MemorySystem:
                     pending[other] |= word_bit
         self._dirty[pline] = cpu
         return stall
-
-    def _invalidate_l1(self, cpu: int, pline: int) -> None:
-        # The workloads run as one shared-address-space process, so the
-        # virtual line address equals the virtual line of every other
-        # processor; we conservatively invalidate using the physical line in
-        # both virtually-indexed L1s (identity aliasing is close enough for
-        # the page-granularity questions this simulator answers).
-        self._l1d[cpu].invalidate(pline)
-        self._l1i[cpu].invalidate(pline)
 
     def _handle_eviction(self, cpu: int, time_ns: float, evicted_line: int) -> None:
         sharers = self._sharers

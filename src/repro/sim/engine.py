@@ -28,7 +28,6 @@ matching Figure 2 overhead category.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Optional
@@ -75,6 +74,8 @@ from repro.sim.tracegen import (
     INSTRUCTION_BASE,
     RefStream,
     SimProfile,
+    frame_budget,
+    init_fault_order,
     loop_traces,
     occurrence_scale,
 )
@@ -312,7 +313,7 @@ class _Simulation:
                 )
 
         policy = _build_policy(config, options)
-        frames = self._frame_budget()
+        frames = frame_budget(program, self.layout, config)
         with tracer.span("os.setup", frames=frames):
             self.vm = VirtualMemory(config, policy, memory_frames=frames)
             if options.memory_pressure > 0:
@@ -442,7 +443,6 @@ class _Simulation:
         self._layout_fp = layout_fingerprint(self.layout)
         self._plan_fp = plan_fingerprint(self.prefetch_plan)
         self.clocks = [0.0] * self.num_cpus
-        self._rng = random.Random(options.seed)
         self.init_ns = 0.0
         # Occurrence counters per phase, for miss_variation (Section 3.2's
         # wave5 anomaly: one phase whose miss rate varies per occurrence).
@@ -497,24 +497,6 @@ class _Simulation:
                 f"{first.message}",
                 stacklevel=4,
             )
-
-    def _frame_budget(self) -> int:
-        psz = self.config.page_size
-        data_pages = -(-self.layout.total_bytes // psz)
-        instr_bytes = 0
-        for phase in self.program.phases:
-            for loop in phase.loops:
-                for access in loop.accesses:
-                    footprint = getattr(access, "footprint_bytes", None)
-                    if footprint:
-                        instr_bytes = max(instr_bytes, footprint)
-        pages = data_pages + -(-instr_bytes // psz)
-        colors = self.config.num_colors
-        # Three times the footprint, rounded to whole color cycles: enough
-        # that the machine never OOMs, while memory_pressure can still make
-        # individual colors scarce.
-        budget = max(colors * 4, -(-pages * 3 // colors) * colors)
-        return budget
 
     # ------------------------------------------------------------------
     # Robustness hooks
@@ -728,35 +710,25 @@ class _Simulation:
             self._sync_clocks(t)
 
     def init_pages_order(self) -> list[int]:
-        """Page fault order of the program's initialization loops."""
-        psz = self.config.page_size
-        order: list[int] = []
-        for group in self.program.effective_init_groups():
-            page_lists = [list(self.layout.pages(name, psz)) for name in group]
-            longest = max(len(pages) for pages in page_lists)
-            for index in range(longest):
-                for pages in page_lists:
-                    if index < len(pages):
-                        order.append(pages[index])
-        if self.options.init_jitter > 1 and isinstance(
-            self._native_policy(), BinHoppingPolicy
-        ):
-            order = self._jitter(order, self.options.init_jitter)
-        return order
+        """Page fault order of the program's initialization loops.
+
+        Jittered only under bin hopping, the one policy that colors by
+        fault order.
+        """
+        bin_hopping = isinstance(self._native_policy(), BinHoppingPolicy)
+        return init_fault_order(
+            self.program,
+            self.layout,
+            self.config.page_size,
+            self.options.init_jitter if bin_hopping else 0,
+            self.options.seed,
+        )
 
     def _native_policy(self) -> MappingPolicy:
         policy = self.vm.policy
         if isinstance(policy, CdpcHintPolicy):
             return policy.fallback
         return policy
-
-    def _jitter(self, order: list[int], window: int) -> list[int]:
-        result = list(order)
-        for start in range(0, len(result), window):
-            chunk = result[start : start + window]
-            self._rng.shuffle(chunk)
-            result[start : start + window] = chunk
-        return result
 
     def run_init(self) -> None:
         """Master initializes every array page (the paper's init section).
@@ -904,16 +876,6 @@ class _Simulation:
         """
 
         def generate():
-            if self._tracegen_ns is None:
-                return loop_traces(
-                    loop,
-                    schedule,
-                    self.layout,
-                    self.config,
-                    self.options.profile,
-                    self.prefetch_plan,
-                    fraction_scale=fraction_scale,
-                )
             started = time.perf_counter()
             traces = loop_traces(
                 loop,
@@ -924,7 +886,8 @@ class _Simulation:
                 self.prefetch_plan,
                 fraction_scale=fraction_scale,
             )
-            self._tracegen_ns.observe((time.perf_counter() - started) * 1e9)
+            if self._tracegen_ns is not None:
+                self._tracegen_ns.observe((time.perf_counter() - started) * 1e9)
             return traces
 
         if self._trace_cache is None:

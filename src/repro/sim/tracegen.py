@@ -18,6 +18,7 @@ pathology).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,6 +31,7 @@ from repro.compiler.ir import (
     Loop,
     LoopKind,
     PartitionedAccess,
+    Program,
     StridedAccess,
     WholeArrayAccess,
 )
@@ -150,6 +152,69 @@ class CpuTrace:
 INSTRUCTION_BASE = 1 << 40
 
 
+def text_base(page_size: int) -> int:
+    """Virtual base of the instruction text.
+
+    Offset by an odd page count so the text does not land color-aligned
+    with the (page-aligned) data arrays under a page-coloring policy:
+    linkers place text at arbitrary colors.
+    """
+    return INSTRUCTION_BASE + 173 * page_size
+
+
+def text_bytes(program: Program) -> int:
+    """The program's instruction footprint: its largest instruction stream."""
+    return max(
+        (
+            access.footprint_bytes
+            for phase in program.phases
+            for loop in phase.loops
+            for access in loop.accesses
+            if isinstance(access, InstructionStream)
+        ),
+        default=0,
+    )
+
+
+def init_fault_order(
+    program: Program, layout: Layout, page_size: int, jitter: int, seed: int
+) -> list[int]:
+    """Page fault order of the program's initialization loops.
+
+    Each init group's arrays fault round robin, one page each; the groups
+    run one after another.  ``jitter > 1`` shuffles every window of
+    ``jitter`` faults with ``random.Random(seed)``: the racy init that
+    bin hopping's fault-order coloring sees.
+    """
+    order: list[int] = []
+    for group in program.effective_init_groups():
+        page_lists = [list(layout.pages(name, page_size)) for name in group]
+        for index in range(max(map(len, page_lists), default=0)):
+            for pages in page_lists:
+                if index < len(pages):
+                    order.append(pages[index])
+    if jitter > 1:
+        rng = random.Random(seed)
+        for start in range(0, len(order), jitter):
+            chunk = order[start : start + jitter]
+            rng.shuffle(chunk)
+            order[start : start + jitter] = chunk
+    return order
+
+
+def frame_budget(program: Program, layout: Layout, config: MachineConfig) -> int:
+    """Physical frames a run gets.
+
+    Three times the footprint, rounded to whole color cycles: enough that
+    the machine never runs out of memory, while ``memory_pressure`` can
+    still make individual colors scarce.
+    """
+    psz = config.page_size
+    pages = -(-layout.total_bytes // psz) + -(-text_bytes(program) // psz)
+    colors = config.num_colors
+    return max(colors * 4, -(-pages * 3 // colors) * colors)
+
+
 def _bulk_addresses(start: int, nbytes: int, stride: int) -> np.ndarray:
     if nbytes <= 0:
         return np.empty(0, dtype=np.int64)
@@ -172,11 +237,9 @@ def _access_stream(
     if isinstance(access, InstructionStream):
         sweeps = min(access.sweeps, profile.sweep_limit)
         fetch_stride = max(4, config.l1i.line_size // 2)
-        # Offset the text segment by an odd page count so it does not land
-        # color-aligned with the (page-aligned) data arrays under a
-        # page-coloring policy — linkers place text at arbitrary colors.
-        base = INSTRUCTION_BASE + 173 * config.page_size
-        one = _bulk_addresses(base, access.footprint_bytes, fetch_stride)
+        one = _bulk_addresses(
+            text_base(config.page_size), access.footprint_bytes, fetch_stride
+        )
         addrs = _tile(one, sweeps)
         return addrs, FLAG_INSTR, fetch_stride / config.word_size
 

@@ -8,13 +8,14 @@ reference data-set sizes of Table 1), its steady-state phase structure
 behaviours the paper attributes to it — e.g. su2cor's non-contiguous
 per-processor accesses, applu's 33-iteration blocked loops and tiling,
 fpppp's instruction-cache-bound sequential execution, and apsi/wave5's
-suppressed fine-grain parallelism.
+suppressed fine-grain parallelism.  Each model is a ``<name>.workload``
+text file in this package; :mod:`repro.workloads.specfp` loads them.
 """
 
-from repro.workloads.base import WorkloadModel
 from repro.workloads.specfp import (
     SPEC_REFERENCE_TIMES,
     WORKLOAD_NAMES,
+    WorkloadModel,
     data_set_mb,
     get_workload,
     iter_workloads,

@@ -171,6 +171,18 @@ class TestRunfile:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scale_factor"] == 16
 
+    def test_packaged_model_file_runs_like_its_name(self, capsys):
+        import pathlib
+
+        import repro.workloads
+
+        path = pathlib.Path(repro.workloads.__file__).with_name("fpppp.workload")
+        flags = ["--cpus", "2", "--fast", "--json"]
+        assert main(["runfile", str(path), *flags]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["run", "fpppp", *flags]) == 0
+        assert from_file == capsys.readouterr().out
+
 
 class TestLint:
     RACY_TEXT = (

@@ -9,6 +9,10 @@ invalidate protocol must maintain:
 * the sharer directory never claims a processor that evicted the line;
 * classification sanity: the first access to a line by a processor is
   COLD; sharing misses only follow a remote write.
+
+The property tests map every virtual address to the same physical one;
+the last two tests give the line distinct virtual and physical addresses,
+because the L1s are virtually indexed and the directory is physical.
 """
 
 from hypothesis import given, settings
@@ -125,3 +129,26 @@ def test_stats_conserve_accesses(ops):
         s.l1d_hits + s.l2_hits + s.total_l2_misses for s in ms.stats.cpus
     )
     assert total == len(ops)
+
+
+# One line whose virtual and physical addresses differ (both in L1 set 0).
+VADDR, PADDR = 0x1000, 0x200
+
+
+def test_remote_write_drops_the_readers_virtual_line():
+    ms = MemorySystem(tiny())
+    ms.access(1, 0.0, VADDR, PADDR, False)
+    ms.access(0, 10.0, VADDR, PADDR, True)
+    result = ms.access(1, 20.0, VADDR, PADDR, False)
+    assert not result.l1_hit
+    assert result.miss_kind is MissKind.TRUE_SHARING
+
+
+def test_remote_write_keeps_the_line_at_the_physical_address():
+    ms = MemorySystem(tiny())
+    ms.access(1, 0.0, VADDR, PADDR, False)
+    # An unrelated line whose virtual address equals the shared line's
+    # physical address.
+    ms.access(1, 5.0, PADDR, 0x400, False)
+    ms.access(0, 10.0, VADDR, PADDR, True)
+    assert ms.access(1, 20.0, PADDR, 0x400, False).l1_hit

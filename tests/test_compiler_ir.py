@@ -122,6 +122,24 @@ class TestProgram:
         assert scaled.phases == program.phases
         assert program.scaled(1) is program
 
+    def test_scaled_shrinks_blocks_and_instruction_footprints(self):
+        loop = Loop(
+            "l",
+            LoopKind.SEQUENTIAL,
+            (
+                StridedAccess("a", block_bytes=2048, sweeps=2.0),
+                StridedAccess("b", block_bytes=512, is_write=True),
+                InstructionStream(footprint_bytes=98304, sweeps=4.0),
+            ),
+        )
+        program = Program("p", self.arrays(), (Phase("ph", (loop,)),))
+        assert program.scaled(16).phases[0].loops[0].accesses == (
+            StridedAccess("a", block_bytes=128, sweeps=2.0),
+            # 512 // 16 = 32 bytes: cyclic blocks never shrink below 64.
+            StridedAccess("b", block_bytes=64, is_write=True),
+            InstructionStream(footprint_bytes=6144, sweeps=4.0),
+        )
+
     def test_init_groups_default_one_group(self):
         program = Program("p", self.arrays(), (Phase("ph", (simple_loop(),)),))
         assert program.effective_init_groups() == (("a", "b"),)

@@ -159,7 +159,7 @@ class TestRoundTrip:
 
 
 class TestWorkloadFiles:
-    """The shipped .workload files stay in sync with the registry."""
+    """``runfile`` on a packaged model file loads the registry's program."""
 
     @pytest.mark.parametrize(
         "name",
@@ -167,14 +167,17 @@ class TestWorkloadFiles:
          "apsi", "fpppp", "wave5"],
     )
     def test_workload_file_matches_registry(self, name):
+        import argparse
         import pathlib
 
+        import repro.workloads
+        from repro.__main__ import _file_program
         from repro.workloads import get_workload
 
-        path = (pathlib.Path(__file__).parent.parent / "examples" /
-                "workloads" / f"{name}.workload")
-        program = parse_program(path.read_text())
-        assert program == get_workload(name).program
+        path = pathlib.Path(repro.workloads.__file__).with_name(f"{name}.workload")
+        # What `runfile PATH --scale 16` simulates.
+        program = _file_program(argparse.Namespace(file=str(path), scale=16))
+        assert program == get_workload(name, 16).program
 
     def test_redblack_file_parses(self):
         import pathlib
