@@ -687,7 +687,7 @@ def cmd_bench(args) -> int:
             raise UsageError(f"unknown workload {name!r}")
     payload = run_bench(
         config, workloads, options=_engine_options(args),
-        max_workers=args.workers,
+        max_workers=args.workers, machine=args.machine,
     )
     write_bench(payload, args.output)
     ref = payload["reference"]

@@ -43,7 +43,7 @@ from typing import Iterator, Optional
 
 from repro.checker.diagnostics import Diagnostic, LintReport, Severity
 from repro.checker.registry import LintContext, register
-from repro.common import Communication, Direction, Partitioning, iteration_ranges
+from repro.common import Direction, Partitioning, iteration_ranges
 from repro.compiler.affine import AffineNest, AffineProgram, AffineRef, Subscript
 from repro.compiler.ir import (
     Access,
@@ -57,6 +57,7 @@ from repro.compiler.ir import (
     WholeArrayAccess,
 )
 from repro.compiler.parallelize import schedule_loop
+from repro.sim.tracegen import _is_upper, _neighbour_list
 
 __all__ = [
     "DependenceVerdict",
@@ -527,7 +528,7 @@ def _access_cpu_spans(
         boundary = _boundary_bytes(access, size)
         spans: list[list[tuple[int, int]]] = [[span] for span in owned]
         for cpu in range(num_cpus):
-            for neighbour in _neighbours(cpu, num_cpus, access.comm):
+            for neighbour in _neighbour_list(access.comm, cpu, num_cpus):
                 n_lo, n_hi = owned[neighbour]
                 if n_hi <= n_lo:
                     continue
@@ -541,20 +542,6 @@ def _access_cpu_spans(
     if isinstance(access, WholeArrayAccess):
         return [[(0, size)] for _ in range(num_cpus)]
     return None
-
-
-def _neighbours(cpu: int, num_cpus: int, comm: Communication) -> list[int]:
-    if num_cpus == 1:
-        return []
-    if comm is Communication.ROTATE:
-        return [(cpu - 1) % num_cpus, (cpu + 1) % num_cpus]
-    return [c for c in (cpu - 1, cpu + 1) if 0 <= c < num_cpus]
-
-
-def _is_upper(cpu: int, neighbour: int, num_cpus: int, comm: Communication) -> bool:
-    if comm is Communication.ROTATE:
-        return neighbour == (cpu + 1) % num_cpus
-    return neighbour == cpu + 1
 
 
 def _spans_overlap(

@@ -9,13 +9,13 @@ consumes.
 
 Three layers, bottom to top:
 
-1. **Footprint engine** — :func:`program_image` mirrors
-   :mod:`repro.sim.tracegen` exactly (same stride, tiling, scheduling and
-   boundary-strip arithmetic) but produces arithmetic *progressions*
-   instead of materialized address arrays, then reduces them to exact
-   per-line reference/visit counts per (CPU, loop).  The hypothesis suite
-   in ``tests/test_staticmiss_properties.py`` cross-checks this against
-   brute-force enumeration of the real trace generator.
+1. **Footprint engine** — :func:`program_image` takes each access's
+   :class:`~repro.sim.tracegen.StreamImage`, the arithmetic
+   *progressions* the trace generator enumerates into addresses, and
+   reduces them to exact per-line reference/visit counts per (CPU, loop)
+   without materializing an address.  The hypothesis suite in
+   ``tests/test_staticmiss_properties.py`` cross-checks the reduction
+   against brute-force counting of the generated traces.
 2. **Plan verifier** — :func:`derive_static_plan` reproduces each mapping
    policy's page->color function without running the OS model (including
    bin hopping's jittered fault-order counter), and :func:`verify_plan`
@@ -39,16 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from repro.compiler.ir import (
-    BoundaryAccess,
-    InstructionStream,
-    Loop,
-    LoopKind,
-    PartitionedAccess,
-    Program,
-    StridedAccess,
-    WholeArrayAccess,
-)
+from repro.compiler.ir import Loop, LoopKind, Program
 from repro.compiler.padding import Layout
 from repro.compiler.parallelize import LoopSchedule, schedule_loop
 from repro.core.coloring import ColoringResult
@@ -56,7 +47,10 @@ from repro.machine.config import MachineConfig
 from repro.machine.stats import MissKind
 from repro.sim.tracegen import (
     INSTRUCTION_BASE,
+    Progression,
     SimProfile,
+    StreamImage,
+    access_stream_image,
     frame_budget,
     init_fault_order,
     occurrence_scale,
@@ -91,211 +85,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Footprint engine
-
-
-@dataclass(frozen=True)
-class Progression:
-    """Addresses ``start + k*step`` for ``0 <= k < count`` (bytes)."""
-
-    start: int
-    step: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
-
-    @property
-    def last(self) -> int:
-        return self.start + (self.count - 1) * self.step
-
-    def count_below(self, limit: int) -> int:
-        """Number of elements with address < ``limit``."""
-        if self.count == 0 or limit <= self.start:
-            return 0
-        return min(self.count, (limit - 1 - self.start) // self.step + 1)
-
-    def count_in(self, lo: int, hi: int) -> int:
-        """Number of elements with ``lo <= address < hi``."""
-        if self.count == 0 or hi <= lo:
-            return 0
-        if lo <= self.start:
-            kmin = 0
-        else:
-            kmin = -(-(lo - self.start) // self.step)
-        kmax = min(self.count - 1, (hi - 1 - self.start) // self.step)
-        return max(0, kmax - kmin + 1)
-
-
-def _bulk_progression(start: int, nbytes: int, stride: int) -> list[Progression]:
-    """Mirror of ``tracegen._bulk_addresses`` in progression form."""
-    if nbytes <= 0:
-        return []
-    count = -(-nbytes // stride)
-    return [Progression(start, stride, count)]
-
-
-def _unit_range(
-    schedule: LoopSchedule, units: int, cpu: int
-) -> tuple[int, int]:
-    """Mirror of ``tracegen._unit_range``."""
-    lo, hi = schedule.ranges[cpu]
-    total = max(1, schedule.loop.effective_iterations)
-    if units == total:
-        return lo, hi
-    scale = units / total
-    return int(lo * scale), int(hi * scale)
-
-
-def _boundary_progressions(
-    access: BoundaryAccess,
-    layout: Layout,
-    schedule: LoopSchedule,
-    cpu: int,
-    config: MachineConfig,
-) -> list[Progression]:
-    """Mirror of the BoundaryAccess branch of ``tracegen._access_stream``."""
-    from repro.sim.tracegen import _is_upper, _neighbour_list
-
-    base = layout.base_of(access.array)
-    size = layout.sizes[access.array]
-    num_cpus = schedule.num_cpus
-    unit = max(1, size // access.units)
-    boundary = max(config.word_size, int(unit * access.boundary_fraction))
-    ranges: list[tuple[int, int]] = []
-    for other in range(num_cpus):
-        lo_u, hi_u = _unit_range(schedule, access.units, other)
-        lo = base + lo_u * unit
-        hi = min(base + hi_u * unit, base + size)
-        ranges.append((lo, max(lo, hi)))
-    progs: list[Progression] = []
-    for nb in _neighbour_list(access.comm, cpu, num_cpus):
-        n_lo, n_hi = ranges[nb]
-        if n_hi <= n_lo:
-            continue
-        if _is_upper(cpu, nb, num_cpus, access.comm):
-            strip = (n_lo, min(n_lo + boundary, n_hi))
-        else:
-            strip = (max(n_hi - boundary, n_lo), n_hi)
-        progs.extend(
-            _bulk_progression(strip[0], strip[1] - strip[0], config.word_size)
-        )
-    return progs
-
-
-@dataclass(frozen=True)
-class StreamImage:
-    """One access's reference stream on one processor, in symbolic form.
-
-    ``progs`` is one untiled pass; tiling repeats it ``whole`` times plus
-    a prefix of ``prefix_elems`` elements, exactly like ``tracegen._tile``.
-    """
-
-    array: Optional[str]  # None for instruction streams
-    is_write: bool
-    is_instr: bool
-    progs: tuple[Progression, ...]
-    whole: int
-    prefix_elems: int
-
-    @property
-    def pass_elems(self) -> int:
-        return sum(p.count for p in self.progs)
-
-    @property
-    def total_refs(self) -> int:
-        return self.pass_elems * self.whole + self.prefix_elems
-
-
-def _tile_counts(pass_elems: int, sweeps: float) -> tuple[int, int]:
-    """Mirror of ``tracegen._tile``: (whole copies, fractional prefix)."""
-    if sweeps <= 0 or pass_elems == 0:
-        return 0, 0
-    whole = int(sweeps)
-    frac = sweeps - whole
-    prefix = int(pass_elems * frac) if frac > 0 else 0
-    return whole, prefix
-
-
-def access_stream_image(
-    access: object,
-    layout: Layout,
-    schedule: LoopSchedule,
-    cpu: int,
-    config: MachineConfig,
-    profile: SimProfile,
-    fraction_scale: float = 1.0,
-) -> StreamImage:
-    """Symbolic mirror of ``tracegen._access_stream`` for one access."""
-    stride = profile.stride_for(config)
-
-    if isinstance(access, InstructionStream):
-        sweeps = min(access.sweeps, profile.sweep_limit)
-        fetch_stride = max(4, config.l1i.line_size // 2)
-        progs = _bulk_progression(
-            text_base(config.page_size), access.footprint_bytes, fetch_stride
-        )
-        whole, prefix = _tile_counts(sum(p.count for p in progs), sweeps)
-        return StreamImage(None, False, True, tuple(progs), whole, prefix)
-
-    if isinstance(access, PartitionedAccess):
-        base = layout.base_of(access.array)
-        size = layout.sizes[access.array]
-        unit = max(1, size // access.units)
-        lo_u, hi_u = _unit_range(schedule, access.units, cpu)
-        chunk = min((hi_u - lo_u) * unit, size - lo_u * unit)
-        fraction = min(1.0, max(1e-6, access.fraction * fraction_scale))
-        touched = int(chunk * fraction)
-        sweeps = min(access.sweeps, profile.sweep_limit)
-        progs = _bulk_progression(base + lo_u * unit, touched, stride)
-        whole, prefix = _tile_counts(sum(p.count for p in progs), sweeps)
-        return StreamImage(
-            access.array, access.is_write, False, tuple(progs), whole, prefix
-        )
-
-    if isinstance(access, BoundaryAccess):
-        progs = _boundary_progressions(access, layout, schedule, cpu, config)
-        # Boundary strips are generated untiled (one pass, no sweeps).
-        return StreamImage(
-            access.array,
-            access.is_write,
-            False,
-            tuple(progs),
-            1,
-            0,
-        )
-
-    if isinstance(access, StridedAccess):
-        base = layout.base_of(access.array)
-        size = layout.sizes[access.array]
-        block = access.block_bytes
-        nblocks = size // block
-        inner_count = -(-block // stride) if block > 0 else 0
-        progs = [
-            Progression(base + m * block, stride, inner_count)
-            for m in range(cpu, nblocks, schedule.num_cpus)
-        ]
-        sweeps = min(access.sweeps, profile.sweep_limit) * fraction_scale
-        whole, prefix = _tile_counts(sum(p.count for p in progs), sweeps)
-        return StreamImage(
-            access.array, access.is_write, False, tuple(progs), whole, prefix
-        )
-
-    if isinstance(access, WholeArrayAccess):
-        base = layout.base_of(access.array)
-        size = layout.sizes[access.array]
-        fraction = min(1.0, max(1e-6, access.fraction * fraction_scale))
-        touched = int(size * fraction)
-        sweeps = min(access.sweeps, profile.sweep_limit)
-        progs = _bulk_progression(base, touched, stride)
-        whole, prefix = _tile_counts(sum(p.count for p in progs), sweeps)
-        return StreamImage(
-            access.array, access.is_write, False, tuple(progs), whole, prefix
-        )
-
-    raise TypeError(f"unknown access type: {type(access)!r}")
 
 
 class LineTouch:
@@ -390,6 +179,40 @@ class LoopImage:
         return sum(s.total_refs for s in self.streams[cpu])
 
 
+def _loop_footprint(
+    loop: Loop,
+    schedule: LoopSchedule,
+    layout: Layout,
+    config: MachineConfig,
+    profile: SimProfile,
+    fraction_scale: float,
+) -> tuple[list[list[StreamImage]], list[dict[int, LineTouch]]]:
+    """Per-CPU stream images and exact line touches for one loop.
+
+    As in :func:`repro.sim.tracegen.loop_traces`, non-PARALLEL loops run
+    on processor 0 only; stream merging changes reference order but not
+    footprints, so it is not modeled here.
+    """
+    num_cpus = schedule.num_cpus
+    active = range(num_cpus) if loop.kind is LoopKind.PARALLEL else [0]
+    line = config.l2.line_size
+    streams: list[list[StreamImage]] = []
+    lines: list[dict[int, LineTouch]] = []
+    for cpu in range(num_cpus):
+        cpu_streams: list[StreamImage] = []
+        cpu_lines: dict[int, LineTouch] = {}
+        if cpu in active:
+            for access in loop.accesses:
+                stream = access_stream_image(
+                    access, layout, schedule, cpu, config, profile, fraction_scale
+                )
+                cpu_streams.append(stream)
+                _accumulate_stream_lines(stream, line, cpu_lines)
+        streams.append(cpu_streams)
+        lines.append(cpu_lines)
+    return streams, lines
+
+
 def loop_line_touches(
     loop: Loop,
     schedule: LoopSchedule,
@@ -398,26 +221,10 @@ def loop_line_touches(
     profile: SimProfile,
     fraction_scale: float = 1.0,
 ) -> list[dict[int, LineTouch]]:
-    """Exact per-line reference/visit counts per CPU for one loop.
-
-    Mirrors :func:`repro.sim.tracegen.loop_traces`: non-PARALLEL loops run
-    on processor 0 only; stream merging changes reference order but not
-    footprints, so it is not modeled here.
-    """
-    num_cpus = schedule.num_cpus
-    active = range(num_cpus) if loop.kind is LoopKind.PARALLEL else [0]
-    line = config.l2.line_size
-    result: list[dict[int, LineTouch]] = []
-    for cpu in range(num_cpus):
-        lines: dict[int, LineTouch] = {}
-        if cpu in active:
-            for access in loop.accesses:
-                stream = access_stream_image(
-                    access, layout, schedule, cpu, config, profile, fraction_scale
-                )
-                _accumulate_stream_lines(stream, line, lines)
-        result.append(lines)
-    return result
+    """Exact per-line reference/visit counts per CPU for one loop."""
+    return _loop_footprint(
+        loop, schedule, layout, config, profile, fraction_scale
+    )[1]
 
 
 @dataclass
@@ -468,26 +275,9 @@ def program_image(
     for phase in program.phases:
         scale = occurrence_scale(phase.miss_variation, occurrence, phase.name)
         for loop in phase.loops:
-            schedule = schedule_loop(loop, num_cpus)
-            active = (
-                range(num_cpus) if loop.kind is LoopKind.PARALLEL else [0]
+            streams, lines = _loop_footprint(
+                loop, schedule_loop(loop, num_cpus), layout, config, prof, scale
             )
-            streams: list[list[StreamImage]] = []
-            lines: list[dict[int, LineTouch]] = []
-            for cpu in range(num_cpus):
-                cpu_streams: list[StreamImage] = []
-                cpu_lines: dict[int, LineTouch] = {}
-                if cpu in active:
-                    for access in loop.accesses:
-                        stream = access_stream_image(
-                            access, layout, schedule, cpu, config, prof, scale
-                        )
-                        cpu_streams.append(stream)
-                        _accumulate_stream_lines(
-                            stream, config.l2.line_size, cpu_lines
-                        )
-                streams.append(cpu_streams)
-                lines.append(cpu_lines)
             loops.append(
                 LoopImage(
                     phase=phase.name,

@@ -28,8 +28,9 @@ The exact legs produce ``RunResult`` objects whose serialized form
 statistics are deterministic, so any divergence is a fast-path bug and
 the bench exits nonzero.  The timing summary is written to
 ``BENCH_engine.json``, which also keeps a bounded ``history`` array (git
-revision, date, throughput, speedups) appended on every
-:func:`write_bench` so regressions are visible across commits.
+revision, date, machine, host CPUs, workers, throughput, speedups)
+appended on every :func:`write_bench` so regressions are visible across
+commits.
 
 Every leg runs as one fault-tolerant campaign (:mod:`repro.harness`), so
 the JSON also carries per-leg retry/failure counters, and the report file
@@ -263,8 +264,13 @@ def run_bench(
     options: Optional[EngineOptions] = None,
     max_workers: Optional[int] = None,
     campaign: Optional[CampaignOptions] = None,
+    machine: Optional[str] = None,
 ) -> dict:
-    """Time the Figure 6 sweep on every engine path and compare results."""
+    """Time the Figure 6 sweep on every engine path and compare results.
+
+    ``machine`` is the preset name ``config`` was built from, if any; the
+    report records it so history entries of different presets stay apart.
+    """
     base = options or EngineOptions()
     reference_options = replace(base, fast_path=False, trace_cache=False)
     fast_options = replace(base, fast_path=True, trace_cache=True)
@@ -298,6 +304,7 @@ def run_bench(
     return {
         "benchmark": "figure6_policy_sweep",
         "machine": {
+            "preset": machine,
             "num_cpus": config.num_cpus,
             "scale_factor": config.scale_factor,
         },
@@ -365,28 +372,29 @@ def _git_revision() -> str:
 
 
 def _history_entry(payload: dict) -> dict:
+    machine = payload.get("machine", {})
+    fast = payload.get("fast", {})
+    static = payload.get("static_predict", {})
+    service = payload.get("service", {})
+    latency = service.get("latency_ms", {})
     return {
         "revision": _git_revision(),
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "refs_per_sec": payload.get("fast", {}).get("refs_per_sec", 0.0),
+        # Two entries compare only on one machine, host and worker count.
+        "machine": machine.get("preset"),
+        "num_cpus": machine.get("num_cpus"),
+        "scale_factor": machine.get("scale_factor"),
+        "available_cpus": payload.get("host", {}).get("available_cpus"),
+        "max_workers": fast.get("max_workers"),
+        "refs_per_sec": fast.get("refs_per_sec", 0.0),
         "speedup": payload.get("speedup", 0.0),
         "speedup_warm": payload.get("speedup_warm", 0.0),
-        "static_max_rel_error": payload.get("static_predict", {}).get(
-            "max_rel_error", 0.0
-        ),
-        "static_analyze_ms": payload.get("static_predict", {}).get(
-            "median_analyze_ns", 0.0
-        ) / 1e6,
-        "service_p50_ms": payload.get("service", {}).get("latency_ms", {}).get(
-            "p50", 0.0
-        ),
-        "service_p99_ms": payload.get("service", {}).get("latency_ms", {}).get(
-            "p99", 0.0
-        ),
-        "service_rps": payload.get("service", {}).get("throughput_rps", 0.0),
-        "service_cache_hit_rate": payload.get("service", {}).get(
-            "cache_hit_rate", 0.0
-        ),
+        "static_max_rel_error": static.get("max_rel_error", 0.0),
+        "static_analyze_ms": static.get("median_analyze_ns", 0.0) / 1e6,
+        "service_p50_ms": latency.get("p50", 0.0),
+        "service_p99_ms": latency.get("p99", 0.0),
+        "service_rps": service.get("throughput_rps", 0.0),
+        "service_cache_hit_rate": service.get("cache_hit_rate", 0.0),
     }
 
 
@@ -394,8 +402,9 @@ def write_bench(payload: dict, path: str = BENCH_OUTPUT) -> None:
     """Publish the report, carrying the ``history`` array forward.
 
     The previous report's history (if the file exists and parses) is
-    extended with one entry for this run — git revision, UTC date,
-    fast-leg throughput and the two speedups — and truncated to the
+    extended with one entry for this run — git revision, UTC date, the
+    machine and host it ran on, fast-leg throughput and the two
+    speedups — and truncated to the
     most recent :data:`HISTORY_LIMIT` entries, so the JSON doubles as a
     lightweight perf-regression log across commits.  The file is written
     atomically (tmp+rename) so a crash or a concurrent reader never

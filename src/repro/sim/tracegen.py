@@ -1,11 +1,14 @@
 """Reference-stream generation from loop-nest programs.
 
 For each (loop, processor) pair this module produces numpy arrays of
-virtual addresses and flags.  The streams of all arrays touched by a loop
-are *interleaved proportionally* — iteration ``i`` touches ``a[i]``,
-``b[i]``, ... in turn — because that is how compiled loop bodies access
-memory, and it is exactly the pattern that turns same-color array starts
-into direct-mapped cache thrashing (the paper's objective 2, Section 5.2).
+virtual addresses and flags.  Each access's stream is defined once, as a
+:class:`StreamImage` of arithmetic progressions: the simulator enumerates
+it into addresses and :mod:`repro.checker.staticmiss` counts its lines.
+The streams of all arrays touched by a loop are *interleaved
+proportionally* — iteration ``i`` touches ``a[i]``, ``b[i]``, ... in turn
+— because that is how compiled loop bodies access memory, and it is
+exactly the pattern that turns same-color array starts into direct-mapped
+cache thrashing (the paper's objective 2, Section 5.2).
 
 Flags are a bitmask per reference: bit 0 = write, bit 1 = instruction
 fetch.  When a prefetch plan covers an access, a parallel array of
@@ -215,10 +218,224 @@ def frame_budget(program: Program, layout: Layout, config: MachineConfig) -> int
     return max(colors * 4, -(-pages * 3 // colors) * colors)
 
 
-def _bulk_addresses(start: int, nbytes: int, stride: int) -> np.ndarray:
+@dataclass(frozen=True)
+class Progression:
+    """Addresses ``start + k*step`` for ``0 <= k < count`` (bytes)."""
+
+    start: int
+    step: int
+    count: int
+
+    def __post_init__(self) -> None:
+        if self.step <= 0:
+            raise ValueError("step must be positive")
+        if self.count < 0:
+            raise ValueError("count must be non-negative")
+
+    @property
+    def last(self) -> int:
+        return self.start + (self.count - 1) * self.step
+
+    def count_below(self, limit: int) -> int:
+        """Number of elements with address < ``limit``."""
+        if self.count == 0 or limit <= self.start:
+            return 0
+        return min(self.count, (limit - 1 - self.start) // self.step + 1)
+
+    def count_in(self, lo: int, hi: int) -> int:
+        """Number of elements with ``lo <= address < hi``."""
+        if self.count == 0 or hi <= lo:
+            return 0
+        if lo <= self.start:
+            kmin = 0
+        else:
+            kmin = -(-(lo - self.start) // self.step)
+        kmax = min(self.count - 1, (hi - 1 - self.start) // self.step)
+        return max(0, kmax - kmin + 1)
+
+
+def _bulk_progression(start: int, nbytes: int, stride: int) -> list[Progression]:
+    """``nbytes`` from ``start`` at ``stride``: one progression, or none."""
     if nbytes <= 0:
+        return []
+    count = -(-nbytes // stride)
+    return [Progression(start, stride, count)]
+
+
+def _unit_range(schedule: LoopSchedule, units: int, cpu: int) -> tuple[int, int]:
+    """The loop-iteration range ``cpu`` executes, rescaled to ``units``."""
+    lo, hi = schedule.ranges[cpu]
+    total = max(1, schedule.loop.effective_iterations)
+    if units == total:
+        return lo, hi
+    scale = units / total
+    return int(lo * scale), int(hi * scale)
+
+
+def _boundary_progressions(
+    access: BoundaryAccess,
+    layout: Layout,
+    schedule: LoopSchedule,
+    cpu: int,
+    config: MachineConfig,
+) -> list[Progression]:
+    """The neighbours' boundary strips one processor reads, word by word."""
+    base = layout.base_of(access.array)
+    size = layout.sizes[access.array]
+    num_cpus = schedule.num_cpus
+    unit = max(1, size // access.units)
+    boundary = max(config.word_size, int(unit * access.boundary_fraction))
+    ranges: list[tuple[int, int]] = []
+    for other in range(num_cpus):
+        lo_u, hi_u = _unit_range(schedule, access.units, other)
+        lo = base + lo_u * unit
+        hi = min(base + hi_u * unit, base + size)
+        ranges.append((lo, max(lo, hi)))
+    progs: list[Progression] = []
+    for nb in _neighbour_list(access.comm, cpu, num_cpus):
+        n_lo, n_hi = ranges[nb]
+        if n_hi <= n_lo:
+            continue
+        if _is_upper(cpu, nb, num_cpus, access.comm):
+            strip = (n_lo, min(n_lo + boundary, n_hi))
+        else:
+            strip = (max(n_hi - boundary, n_lo), n_hi)
+        progs.extend(
+            _bulk_progression(strip[0], strip[1] - strip[0], config.word_size)
+        )
+    return progs
+
+
+@dataclass(frozen=True)
+class StreamImage:
+    """One access's reference stream on one processor, in symbolic form.
+
+    ``progs`` is one untiled pass; the stream repeats it ``whole`` times
+    and then runs its first ``prefix_elems`` elements once more.
+    """
+
+    array: Optional[str]  # None for instruction streams
+    is_write: bool
+    is_instr: bool
+    progs: tuple[Progression, ...]
+    whole: int
+    prefix_elems: int
+
+    @property
+    def pass_elems(self) -> int:
+        return sum(p.count for p in self.progs)
+
+    @property
+    def total_refs(self) -> int:
+        return self.pass_elems * self.whole + self.prefix_elems
+
+
+def _tile_counts(pass_elems: int, sweeps: float) -> tuple[int, int]:
+    """``sweeps`` passes as (whole passes, elements of the partial pass)."""
+    if sweeps <= 0 or pass_elems == 0:
+        return 0, 0
+    whole = int(sweeps)
+    frac = sweeps - whole
+    prefix = int(pass_elems * frac) if frac > 0 else 0
+    return whole, prefix
+
+
+def access_stream_image(
+    access: object,
+    layout: Layout,
+    schedule: LoopSchedule,
+    cpu: int,
+    config: MachineConfig,
+    profile: SimProfile,
+    fraction_scale: float = 1.0,
+) -> StreamImage:
+    """The stream of one access on one processor, in symbolic form."""
+    stride = profile.stride_for(config)
+
+    if isinstance(access, InstructionStream):
+        sweeps = min(access.sweeps, profile.sweep_limit)
+        fetch_stride = max(4, config.l1i.line_size // 2)
+        progs = _bulk_progression(
+            text_base(config.page_size), access.footprint_bytes, fetch_stride
+        )
+        whole, prefix = _tile_counts(sum(p.count for p in progs), sweeps)
+        return StreamImage(None, False, True, tuple(progs), whole, prefix)
+
+    if isinstance(access, PartitionedAccess):
+        base = layout.base_of(access.array)
+        size = layout.sizes[access.array]
+        unit = max(1, size // access.units)
+        lo_u, hi_u = _unit_range(schedule, access.units, cpu)
+        chunk = min((hi_u - lo_u) * unit, size - lo_u * unit)
+        fraction = min(1.0, max(1e-6, access.fraction * fraction_scale))
+        touched = int(chunk * fraction)
+        sweeps = min(access.sweeps, profile.sweep_limit)
+        progs = _bulk_progression(base + lo_u * unit, touched, stride)
+        whole, prefix = _tile_counts(sum(p.count for p in progs), sweeps)
+        return StreamImage(
+            access.array, access.is_write, False, tuple(progs), whole, prefix
+        )
+
+    if isinstance(access, BoundaryAccess):
+        progs = _boundary_progressions(access, layout, schedule, cpu, config)
+        # Boundary strips are generated untiled (one pass, no sweeps).
+        return StreamImage(access.array, access.is_write, False, tuple(progs), 1, 0)
+
+    if isinstance(access, StridedAccess):
+        base = layout.base_of(access.array)
+        size = layout.sizes[access.array]
+        block = access.block_bytes
+        nblocks = size // block
+        inner_count = -(-block // stride) if block > 0 else 0
+        progs = [
+            Progression(base + m * block, stride, inner_count)
+            for m in range(cpu, nblocks, schedule.num_cpus)
+        ]
+        # Gather/scatter work scales with the per-occurrence working set
+        # (particles migrate between occurrences), hence fraction_scale.
+        sweeps = min(access.sweeps, profile.sweep_limit) * fraction_scale
+        whole, prefix = _tile_counts(sum(p.count for p in progs), sweeps)
+        return StreamImage(
+            access.array, access.is_write, False, tuple(progs), whole, prefix
+        )
+
+    if isinstance(access, WholeArrayAccess):
+        base = layout.base_of(access.array)
+        size = layout.sizes[access.array]
+        fraction = min(1.0, max(1e-6, access.fraction * fraction_scale))
+        touched = int(size * fraction)
+        sweeps = min(access.sweeps, profile.sweep_limit)
+        progs = _bulk_progression(base, touched, stride)
+        whole, prefix = _tile_counts(sum(p.count for p in progs), sweeps)
+        return StreamImage(
+            access.array, access.is_write, False, tuple(progs), whole, prefix
+        )
+
+    raise TypeError(f"unknown access type: {type(access)!r}")
+
+
+def _enumerate(image: StreamImage) -> np.ndarray:
+    """Every address of ``image`` in stream order, as int64.
+
+    One pass is a single broadcast when all progressions share step and
+    count (the strided blocks), else one ``np.arange`` per progression.
+    """
+    progs = image.progs
+    if not progs or (image.whole == 0 and image.prefix_elems == 0):
         return np.empty(0, dtype=np.int64)
-    return np.arange(start, start + nbytes, stride, dtype=np.int64)
+    first = progs[0]
+    if all(p.step == first.step and p.count == first.count for p in progs):
+        starts = np.fromiter((p.start for p in progs), np.int64, len(progs))
+        offsets = np.arange(first.count, dtype=np.int64) * first.step
+        one = (starts[:, None] + offsets[None, :]).ravel()
+    else:
+        one = np.concatenate(
+            [np.arange(p.count, dtype=np.int64) * p.step + p.start for p in progs]
+        )
+    parts = [one] * image.whole
+    if image.prefix_elems:
+        parts.append(one[: image.prefix_elems])
+    return np.concatenate(parts)
 
 
 def _access_stream(
@@ -229,119 +446,14 @@ def _access_stream(
     config: MachineConfig,
     profile: SimProfile,
     fraction_scale: float = 1.0,
-) -> tuple[np.ndarray, int, float]:
-    """Addresses, flags and words-per-ref for one access on one processor."""
-    stride = profile.stride_for(config)
-    num_cpus = schedule.num_cpus
-
-    if isinstance(access, InstructionStream):
-        sweeps = min(access.sweeps, profile.sweep_limit)
-        fetch_stride = max(4, config.l1i.line_size // 2)
-        one = _bulk_addresses(
-            text_base(config.page_size), access.footprint_bytes, fetch_stride
-        )
-        addrs = _tile(one, sweeps)
-        return addrs, FLAG_INSTR, fetch_stride / config.word_size
-
-    base = layout.base_of(access.array)
-    size = layout.sizes[access.array]
-
-    if isinstance(access, PartitionedAccess):
-        unit = max(1, size // access.units)
-        lo_u, hi_u = _unit_range(schedule, access, cpu, num_cpus)
-        chunk = min((hi_u - lo_u) * unit, size - lo_u * unit)
-        fraction = min(1.0, max(1e-6, access.fraction * fraction_scale))
-        touched = int(chunk * fraction)
-        sweeps = min(access.sweeps, profile.sweep_limit)
-        one = _bulk_addresses(base + lo_u * unit, touched, stride)
-        addrs = _tile(one, sweeps)
-        flag = FLAG_WRITE if access.is_write else 0
-        return addrs, flag, stride / config.word_size
-
-    if isinstance(access, BoundaryAccess):
-        unit = max(1, size // access.units)
-        boundary = max(config.word_size, int(unit * access.boundary_fraction))
-        ranges = _byte_ranges(schedule, access, num_cpus, size, unit, base)
-        neighbours = _neighbour_list(access.comm, cpu, num_cpus)
-        pieces = []
-        for nb in neighbours:
-            n_lo, n_hi = ranges[nb]
-            if n_hi <= n_lo:
-                continue
-            if _is_upper(cpu, nb, num_cpus, access.comm):
-                strip = (n_lo, min(n_lo + boundary, n_hi))
-            else:
-                strip = (max(n_hi - boundary, n_lo), n_hi)
-            pieces.append(
-                _bulk_addresses(strip[0], strip[1] - strip[0], config.word_size)
-            )
-        if pieces:
-            addrs = np.concatenate(pieces)
-        else:
-            addrs = np.empty(0, dtype=np.int64)
-        flag = FLAG_WRITE if access.is_write else 0
-        return addrs, flag, 1.0
-
-    if isinstance(access, StridedAccess):
-        block = access.block_bytes
-        nblocks = size // block
-        mine = np.arange(cpu, nblocks, num_cpus, dtype=np.int64)
-        inner = np.arange(0, block, stride, dtype=np.int64)
-        one = (base + mine[:, None] * block + inner[None, :]).ravel()
-        # Gather/scatter work scales with the per-occurrence working set
-        # (particles migrate between occurrences), hence fraction_scale.
-        sweeps = min(access.sweeps, profile.sweep_limit) * fraction_scale
-        addrs = _tile(one, sweeps)
-        flag = FLAG_WRITE if access.is_write else 0
-        return addrs, flag, stride / config.word_size
-
-    if isinstance(access, WholeArrayAccess):
-        touched = int(size * min(1.0, max(1e-6, access.fraction * fraction_scale)))
-        sweeps = min(access.sweeps, profile.sweep_limit)
-        one = _bulk_addresses(base, touched, stride)
-        addrs = _tile(one, sweeps)
-        flag = FLAG_WRITE if access.is_write else 0
-        return addrs, flag, stride / config.word_size
-
-    raise TypeError(f"unknown access type: {type(access)!r}")
-
-
-def _tile(addrs: np.ndarray, sweeps: float) -> np.ndarray:
-    if sweeps <= 0 or len(addrs) == 0:
-        return np.empty(0, dtype=np.int64)
-    whole = int(sweeps)
-    frac = sweeps - whole
-    parts = [addrs] * whole
-    if frac > 0:
-        parts.append(addrs[: int(len(addrs) * frac)])
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
-
-
-def _unit_range(schedule: LoopSchedule, access, cpu: int, num_cpus: int) -> tuple[int, int]:
-    """The unit range this processor executes, rescaled to this access.
-
-    The loop schedule is expressed in loop iterations; an access whose
-    ``units`` differs from the loop's iteration count is scaled
-    proportionally (e.g. a half-resolution array in the same loop).
-    """
-    lo, hi = schedule.ranges[cpu]
-    total = max(1, schedule.loop.effective_iterations)
-    if access.units == total:
-        return lo, hi
-    scale = access.units / total
-    return int(lo * scale), int(hi * scale)
-
-
-def _byte_ranges(schedule, access, num_cpus, size, unit, base) -> list[tuple[int, int]]:
-    result = []
-    for cpu in range(num_cpus):
-        lo_u, hi_u = _unit_range(schedule, access, cpu, num_cpus)
-        lo = base + lo_u * unit
-        hi = min(base + hi_u * unit, base + size)
-        result.append((lo, max(lo, hi)))
-    return result
+) -> tuple[np.ndarray, int]:
+    """Addresses and flags for one access on one processor."""
+    image = access_stream_image(
+        access, layout, schedule, cpu, config, profile, fraction_scale
+    )
+    if image.is_instr:
+        return _enumerate(image), FLAG_INSTR
+    return _enumerate(image), FLAG_WRITE if image.is_write else 0
 
 
 def _neighbour_list(comm: Communication, cpu: int, num_cpus: int) -> list[int]:
@@ -433,7 +545,7 @@ def loop_traces(
         streams: list[tuple[np.ndarray, int]] = []
         pf_distance: list[Optional[int]] = []
         for access in loop.accesses:
-            addrs, flag, _wpr = _access_stream(
+            addrs, flag = _access_stream(
                 access, layout, schedule, cpu, config, profile, fraction_scale
             )
             streams.append((addrs, flag))
@@ -445,9 +557,7 @@ def loop_traces(
             else:
                 pf_distance.append(decision.distance_lines if decision.pipelined else 0)
 
-        merged_addrs, merged_flags, merged_ids = _merge_streams(
-            [(a, f) for (a, f) in streams]
-        )
+        merged_addrs, merged_flags, merged_ids = _merge_streams(streams)
 
         prefetch_targets: Optional[np.ndarray] = None
         if prefetch_plan is not None and any(d is not None for d in pf_distance):

@@ -160,8 +160,12 @@ class TestBenchGuard:
             ["tomcatv"],
             options=EngineOptions(profile=FAST, obs=ObsConfig()),
             max_workers=1,
+            machine="sgi_base",
         )
         assert payload["divergences"] == []
+        assert payload["machine"] == {
+            "preset": "sgi_base", "num_cpus": 2, "scale_factor": 16,
+        }
 
     def test_session_bench_delegate(self, config):
         session = Session("tomcatv", config=config, profile=FAST)
@@ -175,7 +179,9 @@ class TestBenchGuard:
 
 class TestBenchHistory:
     PAYLOAD = {
-        "fast": {"refs_per_sec": 10.0},
+        "machine": {"preset": "sliced_llc_8x", "num_cpus": 8, "scale_factor": 16},
+        "host": {"available_cpus": 2},
+        "fast": {"refs_per_sec": 10.0, "max_workers": 2},
         "speedup": 2.0,
         "speedup_warm": 3.0,
     }
@@ -195,6 +201,11 @@ class TestBenchHistory:
         assert entry["speedup_warm"] == 3.0
         assert not [key for key in entry if "sampled" in key]
         assert "revision" in entry and "date" in entry
+        assert entry["machine"] == "sliced_llc_8x"
+        assert entry["num_cpus"] == 8
+        assert entry["scale_factor"] == 16
+        assert entry["available_cpus"] == 2
+        assert entry["max_workers"] == 2
 
         write_bench(dict(self.PAYLOAD), str(path))
         second = json.loads(path.read_text())

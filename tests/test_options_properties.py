@@ -1,8 +1,8 @@
 """Property suite over the option space: accepted sets run right, the rest raise.
 
 Hypothesis draws option sets that :class:`EngineOptions` accepts and runs
-each on a small program, on a tiny machine or a scaled preset, at 1, 2
-or 4 CPUs, with the invariant checker on.  Every accepted set must give
+each on a small program, on a tiny machine or any preset at 1/16 scale,
+at 1, 2 or 4 CPUs, with the invariant checker on.  Every accepted set must give
 the same serialized result on the fast path, on the oracle
 (``fast_path=False``) and with observability on; wherever ``static_check``
 is legal it is drawn too, so the predictor's interval must hold.  A
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.config import sgi_base, three_level
+from repro.machine.config import MACHINE_PRESETS
 from repro.obs import ObsConfig
 from repro.robustness.faults import FaultPlan
 from repro.scenarios import CapacityEvent, JobSpec, ScenarioSpec, compile_churn
@@ -32,10 +32,13 @@ from repro.sim.tracegen import SimProfile
 from tests.conftest import make_stencil_program, make_two_array_program
 from tests.test_sim_engine import tiny_machine
 
+#: The tiny machine and every preset at 1/16 scale, drawn per example.
 MACHINES = {
     "tiny_machine": tiny_machine,
-    "sgi_base/16": lambda cpus: sgi_base(cpus).scaled(16),
-    "three_level/16": lambda cpus: three_level(cpus).scaled(16),
+    **{
+        f"{name}/16": lambda cpus, preset=preset: preset(cpus).scaled(16)
+        for name, preset in MACHINE_PRESETS.items()
+    },
 }
 
 PROGRAMS = {

@@ -1,6 +1,9 @@
 """Tests for trace generation."""
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.compiler.ir import (
     ArrayDecl,
     BoundaryAccess,
@@ -21,7 +24,10 @@ from repro.sim.tracegen import (
     FLAG_INSTR,
     FLAG_WRITE,
     INSTRUCTION_BASE,
+    Progression,
     SimProfile,
+    StreamImage,
+    _enumerate,
     loop_traces,
 )
 
@@ -384,3 +390,32 @@ class TestSimProfileKnobs:
         instr_addrs = traces[0].addrs[(traces[0].flags & FLAG_INSTR) != 0]
         first_page = int(instr_addrs.min()) // config.page_size
         assert first_page % 16 != 0  # 16 colors on the tiny machine
+
+
+@st.composite
+def stream_images(draw):
+    """0-40 progressions, sharing step and count or not, tiled 0-3 times
+    plus a prefix of up to one pass."""
+    starts = draw(st.lists(st.integers(0, 1 << 20), max_size=40))
+    if draw(st.booleans()):
+        step, count = draw(st.integers(1, 64)), draw(st.integers(0, 12))
+        progs = [Progression(start, step, count) for start in starts]
+    else:
+        progs = [
+            Progression(start, draw(st.integers(1, 64)), draw(st.integers(0, 12)))
+            for start in starts
+        ]
+    prefix = draw(st.integers(0, sum(p.count for p in progs)))
+    whole = draw(st.integers(0, 3))
+    return StreamImage("a", False, False, tuple(progs), whole, prefix)
+
+
+class TestEnumerate:
+    @given(stream_images())
+    def test_enumeration_is_the_plain_list(self, image):
+        one = [p.start + k * p.step for p in image.progs for k in range(p.count)]
+        expected = one * image.whole + one[: image.prefix_elems]
+        addrs = _enumerate(image)
+        assert addrs.dtype == np.int64
+        assert addrs.tolist() == expected
+        assert len(addrs) == image.total_refs
